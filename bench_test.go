@@ -1,31 +1,37 @@
 // Package bench holds the top-level benchmark suite: one benchmark family
 // per evaluation artefact of the paper.
 //
-//   - BenchmarkTableIII_<Alg>_<Impl>_<Graph>: the 6 kernels × 2
-//     implementations × 5 graph classes of paper Table III. "GAP" is the
-//     direct (GAP-benchmark-style) baseline, "SS" the LAGraph-on-GraphBLAS
-//     implementation (the paper's label for LAGraph+SS:GrB).
+//   - BenchmarkTableIII/<Alg>/<Impl>/<Graph>: the 6 kernels × 2
+//     implementations × 5 graph classes of paper Table III, one
+//     sub-benchmark per cell ("-bench 'TableIII/BC/SS/Road'" selects one).
+//     "GAP" is the direct (GAP-benchmark-style) baseline, "SS" the
+//     LAGraph-on-GraphBLAS implementation (the paper's label for
+//     LAGraph+SS:GrB).
 //   - BenchmarkTableII_<semiring>: a microbenchmark per Table II semiring
 //     (one vxm on the Kron graph each).
 //   - BenchmarkAblation_*: the substrate claims of §VI-A — bitmap format
 //     for the pull direction, the lazy sort, the any.secondi early-exit,
-//     TC's masked-dot vs saxpy, and push-only vs direction-optimized BFS.
+//     TC's masked-dot vs saxpy, push-only vs direction-optimized BFS — and
+//     §VI-B's memory pool on the Road BFS.
 //
 // Scale is deliberately small (2^12) so `go test -bench=.` finishes in
 // minutes; cmd/gapbench runs the same cells at larger scales.
 package bench
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"lagraph/internal/bench"
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
-	"lagraph/internal/lagraph/experimental"
 )
 
 const benchScale = 12
+
+// ctx is the context every kernel benchmark runs under.
+var ctx = context.Background()
 
 var (
 	loadOnce  sync.Once
@@ -66,71 +72,15 @@ func cell(b *testing.B, alg, impl, graph string) {
 // ---------------------------------------------------------------------------
 // Table III: 6 algorithms × {GAP, SS} × 5 graphs
 
-func BenchmarkTableIII_BC_GAP_Kron(b *testing.B)    { cell(b, "BC", "GAP", "Kron") }
-func BenchmarkTableIII_BC_SS_Kron(b *testing.B)     { cell(b, "BC", "SS", "Kron") }
-func BenchmarkTableIII_BC_GAP_Urand(b *testing.B)   { cell(b, "BC", "GAP", "Urand") }
-func BenchmarkTableIII_BC_SS_Urand(b *testing.B)    { cell(b, "BC", "SS", "Urand") }
-func BenchmarkTableIII_BC_GAP_Twitter(b *testing.B) { cell(b, "BC", "GAP", "Twitter") }
-func BenchmarkTableIII_BC_SS_Twitter(b *testing.B)  { cell(b, "BC", "SS", "Twitter") }
-func BenchmarkTableIII_BC_GAP_Web(b *testing.B)     { cell(b, "BC", "GAP", "Web") }
-func BenchmarkTableIII_BC_SS_Web(b *testing.B)      { cell(b, "BC", "SS", "Web") }
-func BenchmarkTableIII_BC_GAP_Road(b *testing.B)    { cell(b, "BC", "GAP", "Road") }
-func BenchmarkTableIII_BC_SS_Road(b *testing.B)     { cell(b, "BC", "SS", "Road") }
-
-func BenchmarkTableIII_BFS_GAP_Kron(b *testing.B)    { cell(b, "BFS", "GAP", "Kron") }
-func BenchmarkTableIII_BFS_SS_Kron(b *testing.B)     { cell(b, "BFS", "SS", "Kron") }
-func BenchmarkTableIII_BFS_GAP_Urand(b *testing.B)   { cell(b, "BFS", "GAP", "Urand") }
-func BenchmarkTableIII_BFS_SS_Urand(b *testing.B)    { cell(b, "BFS", "SS", "Urand") }
-func BenchmarkTableIII_BFS_GAP_Twitter(b *testing.B) { cell(b, "BFS", "GAP", "Twitter") }
-func BenchmarkTableIII_BFS_SS_Twitter(b *testing.B)  { cell(b, "BFS", "SS", "Twitter") }
-func BenchmarkTableIII_BFS_GAP_Web(b *testing.B)     { cell(b, "BFS", "GAP", "Web") }
-func BenchmarkTableIII_BFS_SS_Web(b *testing.B)      { cell(b, "BFS", "SS", "Web") }
-func BenchmarkTableIII_BFS_GAP_Road(b *testing.B)    { cell(b, "BFS", "GAP", "Road") }
-func BenchmarkTableIII_BFS_SS_Road(b *testing.B)     { cell(b, "BFS", "SS", "Road") }
-
-func BenchmarkTableIII_PR_GAP_Kron(b *testing.B)    { cell(b, "PR", "GAP", "Kron") }
-func BenchmarkTableIII_PR_SS_Kron(b *testing.B)     { cell(b, "PR", "SS", "Kron") }
-func BenchmarkTableIII_PR_GAP_Urand(b *testing.B)   { cell(b, "PR", "GAP", "Urand") }
-func BenchmarkTableIII_PR_SS_Urand(b *testing.B)    { cell(b, "PR", "SS", "Urand") }
-func BenchmarkTableIII_PR_GAP_Twitter(b *testing.B) { cell(b, "PR", "GAP", "Twitter") }
-func BenchmarkTableIII_PR_SS_Twitter(b *testing.B)  { cell(b, "PR", "SS", "Twitter") }
-func BenchmarkTableIII_PR_GAP_Web(b *testing.B)     { cell(b, "PR", "GAP", "Web") }
-func BenchmarkTableIII_PR_SS_Web(b *testing.B)      { cell(b, "PR", "SS", "Web") }
-func BenchmarkTableIII_PR_GAP_Road(b *testing.B)    { cell(b, "PR", "GAP", "Road") }
-func BenchmarkTableIII_PR_SS_Road(b *testing.B)     { cell(b, "PR", "SS", "Road") }
-
-func BenchmarkTableIII_CC_GAP_Kron(b *testing.B)    { cell(b, "CC", "GAP", "Kron") }
-func BenchmarkTableIII_CC_SS_Kron(b *testing.B)     { cell(b, "CC", "SS", "Kron") }
-func BenchmarkTableIII_CC_GAP_Urand(b *testing.B)   { cell(b, "CC", "GAP", "Urand") }
-func BenchmarkTableIII_CC_SS_Urand(b *testing.B)    { cell(b, "CC", "SS", "Urand") }
-func BenchmarkTableIII_CC_GAP_Twitter(b *testing.B) { cell(b, "CC", "GAP", "Twitter") }
-func BenchmarkTableIII_CC_SS_Twitter(b *testing.B)  { cell(b, "CC", "SS", "Twitter") }
-func BenchmarkTableIII_CC_GAP_Web(b *testing.B)     { cell(b, "CC", "GAP", "Web") }
-func BenchmarkTableIII_CC_SS_Web(b *testing.B)      { cell(b, "CC", "SS", "Web") }
-func BenchmarkTableIII_CC_GAP_Road(b *testing.B)    { cell(b, "CC", "GAP", "Road") }
-func BenchmarkTableIII_CC_SS_Road(b *testing.B)     { cell(b, "CC", "SS", "Road") }
-
-func BenchmarkTableIII_SSSP_GAP_Kron(b *testing.B)    { cell(b, "SSSP", "GAP", "Kron") }
-func BenchmarkTableIII_SSSP_SS_Kron(b *testing.B)     { cell(b, "SSSP", "SS", "Kron") }
-func BenchmarkTableIII_SSSP_GAP_Urand(b *testing.B)   { cell(b, "SSSP", "GAP", "Urand") }
-func BenchmarkTableIII_SSSP_SS_Urand(b *testing.B)    { cell(b, "SSSP", "SS", "Urand") }
-func BenchmarkTableIII_SSSP_GAP_Twitter(b *testing.B) { cell(b, "SSSP", "GAP", "Twitter") }
-func BenchmarkTableIII_SSSP_SS_Twitter(b *testing.B)  { cell(b, "SSSP", "SS", "Twitter") }
-func BenchmarkTableIII_SSSP_GAP_Web(b *testing.B)     { cell(b, "SSSP", "GAP", "Web") }
-func BenchmarkTableIII_SSSP_SS_Web(b *testing.B)      { cell(b, "SSSP", "SS", "Web") }
-func BenchmarkTableIII_SSSP_GAP_Road(b *testing.B)    { cell(b, "SSSP", "GAP", "Road") }
-func BenchmarkTableIII_SSSP_SS_Road(b *testing.B)     { cell(b, "SSSP", "SS", "Road") }
-
-func BenchmarkTableIII_TC_GAP_Kron(b *testing.B)    { cell(b, "TC", "GAP", "Kron") }
-func BenchmarkTableIII_TC_SS_Kron(b *testing.B)     { cell(b, "TC", "SS", "Kron") }
-func BenchmarkTableIII_TC_GAP_Urand(b *testing.B)   { cell(b, "TC", "GAP", "Urand") }
-func BenchmarkTableIII_TC_SS_Urand(b *testing.B)    { cell(b, "TC", "SS", "Urand") }
-func BenchmarkTableIII_TC_GAP_Twitter(b *testing.B) { cell(b, "TC", "GAP", "Twitter") }
-func BenchmarkTableIII_TC_SS_Twitter(b *testing.B)  { cell(b, "TC", "SS", "Twitter") }
-func BenchmarkTableIII_TC_GAP_Web(b *testing.B)     { cell(b, "TC", "GAP", "Web") }
-func BenchmarkTableIII_TC_SS_Web(b *testing.B)      { cell(b, "TC", "SS", "Web") }
-func BenchmarkTableIII_TC_GAP_Road(b *testing.B)    { cell(b, "TC", "GAP", "Road") }
-func BenchmarkTableIII_TC_SS_Road(b *testing.B)     { cell(b, "TC", "SS", "Road") }
+func BenchmarkTableIII(b *testing.B) {
+	for _, alg := range bench.AlgNames {
+		for _, impl := range []string{"GAP", "SS"} {
+			for _, graph := range bench.GraphNames {
+				b.Run(alg+"/"+impl+"/"+graph, func(b *testing.B) { cell(b, alg, impl, graph) })
+			}
+		}
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Table II: one vxm per semiring on the Kron graph
@@ -178,7 +128,7 @@ func BenchmarkAblation_BFS_DirOpt_Kron(b *testing.B) {
 	w := load(b, "Kron")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParent(w.LG, w.Sources[i%len(w.Sources)]); err != nil {
+		if _, _, err := lagraph.BreadthFirstSearch(ctx, w.LG, w.Sources[i%len(w.Sources)], true, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,7 +138,7 @@ func BenchmarkAblation_BFS_PushOnly_Kron(b *testing.B) {
 	w := load(b, "Kron")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParentPushOnly(w.LG, w.Sources[i%len(w.Sources)]); err != nil {
+		if _, err := lagraph.BFSParentPushOnly(ctx, w.LG, w.Sources[i%len(w.Sources)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,7 +152,7 @@ func bitmapAblation(b *testing.B, on bool) {
 	defer grb.SetBitmapEnabled(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParent(w.LG, w.Sources[i%len(w.Sources)]); err != nil {
+		if _, _, err := lagraph.BreadthFirstSearch(ctx, w.LG, w.Sources[i%len(w.Sources)], true, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,7 +170,7 @@ func lazySortAblation(b *testing.B, on bool) {
 	defer grb.SetLazySortEnabled(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BetweennessCentralityAdvanced(w.LG, w.Sources[:4]); err != nil {
+		if _, err := lagraph.BetweennessCentrality(ctx, w.LG, w.Sources[:4]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -236,7 +186,7 @@ func BenchmarkAblation_TC_MaskedDot(b *testing.B) {
 	w := load(b, "Kron")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.TriangleCountAdvanced(w.LG, lagraph.TCSandiaLUT, false); err != nil {
+		if _, err := lagraph.TriangleCountAdvanced(ctx, w.LG, lagraph.TCSandiaLUT, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,7 +196,7 @@ func BenchmarkAblation_TC_Saxpy(b *testing.B) {
 	w := load(b, "Kron")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.TriangleCountAdvanced(w.LG, lagraph.TCSandiaLL, false); err != nil {
+		if _, err := lagraph.TriangleCountAdvanced(ctx, w.LG, lagraph.TCSandiaLL, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -258,7 +208,7 @@ func BenchmarkAblation_TC_PresortOn(b *testing.B) {
 	w := load(b, "Kron")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.TriangleCountAdvanced(w.LG, lagraph.TCSandiaLUT, true); err != nil {
+		if _, err := lagraph.TriangleCountAdvanced(ctx, w.LG, lagraph.TCSandiaLUT, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,7 +218,7 @@ func BenchmarkAblation_TC_PresortOff(b *testing.B) {
 	w := load(b, "Kron")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.TriangleCountAdvanced(w.LG, lagraph.TCSandiaLUT, false); err != nil {
+		if _, err := lagraph.TriangleCountAdvanced(ctx, w.LG, lagraph.TCSandiaLUT, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,29 +251,6 @@ func anyVsMin(b *testing.B, useAny bool) {
 func BenchmarkAblation_AnySecondI_Pull(b *testing.B) { anyVsMin(b, true) }
 func BenchmarkAblation_MinSecondI_Pull(b *testing.B) { anyVsMin(b, false) }
 
-// BenchmarkAblation_BFS_Fused vs Unfused on the Road graph: §VI-B's fusion
-// future work (one pass instead of vxm + assign per level) measured where
-// it matters most — the high-diameter class with thousands of tiny steps.
-func BenchmarkAblation_BFS_Fused_Road(b *testing.B) {
-	w := load(b, "Road")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experimental.BFSParentFused(w.LG, w.Sources[i%len(w.Sources)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_BFS_Unfused_Road(b *testing.B) {
-	w := load(b, "Road")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParentPushOnly(w.LG, w.Sources[i%len(w.Sources)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblation_Pool_{On,Off}: §VI-B's internal memory pool future
 // work — scratch reuse across the thousands of small GraphBLAS calls the
 // Road BFS makes.
@@ -333,7 +260,7 @@ func poolAblation(b *testing.B, on bool) {
 	defer grb.SetPoolEnabled(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParentPushOnly(w.LG, w.Sources[i%len(w.Sources)]); err != nil {
+		if _, err := lagraph.BFSParentPushOnly(ctx, w.LG, w.Sources[i%len(w.Sources)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,17 +1,18 @@
-// Community structure with the experimental tier (paper §II-E): k-truss
-// cores, label-propagation communities, local clustering coefficients and
-// a maximal independent set on a planted-partition graph. Run with:
+// Community structure with the kernels beyond the GAP six: k-truss cores,
+// label-propagation communities, local clustering coefficients and a
+// maximal independent set on a planted-partition graph. The same kernels
+// are cataloged as ktruss, cdlp, lcc and mis. Run with:
 //
 //	go run ./examples/community
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
-	"lagraph/internal/lagraph/experimental"
 )
 
 func main() {
@@ -58,9 +59,10 @@ func main() {
 	}
 	fmt.Printf("planted-partition graph: %d vertices, %d entries, %d groups\n\n",
 		g.NumNodes(), g.NumEdges(), groups)
+	ctx := context.Background()
 
 	// Label propagation should rediscover the planted groups.
-	labels, err := experimental.CommunityDetectionLabelPropagation(g, 30)
+	labels, err := lagraph.CommunityDetectionLabelPropagation(ctx, g, 30)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func main() {
 
 	// Truss decomposition: how deep do the dense cores go?
 	for k := 3; ; k++ {
-		truss, err := experimental.KTruss(g, k)
+		truss, err := lagraph.KTruss(ctx, g, k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -102,7 +104,7 @@ func main() {
 	}
 
 	// Clustering: group members should have high LCC.
-	lcc, err := experimental.LocalClusteringCoefficient(g)
+	lcc, err := lagraph.LocalClusteringCoefficient(ctx, g)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func main() {
 	fmt.Printf("mean local clustering coefficient: %.3f\n", mean)
 
 	// An independent set (e.g. for picking non-adjacent community seeds).
-	mis, err := experimental.MaximalIndependentSet(g, 7)
+	mis, err := lagraph.MaximalIndependentSet(ctx, g, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

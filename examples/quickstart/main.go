@@ -1,4 +1,4 @@
-// Quickstart: build a small graph, inspect it, and run two Basic-mode
+// Quickstart: build a small graph, inspect it, and run Basic-mode
 // algorithms — the "I just want the correct answer" user mode of paper
 // §II-B. Run with:
 //
@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -49,7 +50,8 @@ func main() {
 
 	// Basic-mode BFS: properties (AT, RowDegree) are computed and cached
 	// for us; the returned warning says so.
-	parent, level, err := lagraph.BreadthFirstSearch(g, 0, true, true)
+	ctx := context.Background()
+	parent, level, err := lagraph.BreadthFirstSearch(ctx, g, 0, true, true)
 	if err != nil && !lagraph.IsWarning(err) {
 		log.Fatal(err)
 	}
@@ -63,9 +65,10 @@ func main() {
 	})
 	fmt.Println("  (vertices 4, 5, 6 are unreached — absent from the output vector)")
 
-	// Basic-mode PageRank (the dangling-safe Graphalytics variant).
-	rank, iters, err := lagraph.PageRank(g, 0.85, 1e-8, 100)
-	if err != nil && !lagraph.IsWarning(err) {
+	// PageRank, the dangling-safe Graphalytics variant. It reads the AT
+	// and RowDegree properties the BFS above cached.
+	rank, iters, err := lagraph.PageRankGX(ctx, g, 0.85, 1e-8, 100)
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nPageRank converged in %d iterations:\n", iters)
@@ -74,14 +77,14 @@ func main() {
 	})
 
 	// Triangle counting.
-	tri, err := lagraph.TriangleCount(g)
+	tri, err := lagraph.TriangleCount(ctx, g)
 	if err != nil && !lagraph.IsWarning(err) {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ntriangles: %d (0-1-2 and 1-2-3)\n", tri)
 
 	// Connected components.
-	comp, err := lagraph.ConnectedComponents(g)
+	comp, err := lagraph.ConnectedComponents(ctx, g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,11 +34,12 @@ func main() {
 		g.NumNodes(), g.NumEdges())
 
 	src := 0 // top-left corner
+	ctx := context.Background()
 	timer := lagraph.Tic()
 
-	// Bucket width Δ: the paper's Algorithm 5 takes it as an input; the
-	// Basic entry point picks one from the average weight when given 0.
-	dist, err := lagraph.SingleSourceShortestPath(g, src, 0.0)
+	// Bucket width Δ: the paper's Algorithm 5 takes it as an input; 64 is
+	// the catalog's default for the GAP [1, 255] weight convention.
+	dist, err := lagraph.SSSPDeltaStepping(ctx, g, src, 64.0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func main() {
 	fmt.Println("\nΔ sensitivity (same distances, different bucket schedules):")
 	for _, delta := range []float64{16, 64, 256, 4096} {
 		tm := lagraph.Tic()
-		d2, err := lagraph.SSSPDeltaStepping(g, src, delta)
+		d2, err := lagraph.SSSPDeltaStepping(ctx, g, src, delta)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,7 +89,7 @@ func main() {
 
 	// The hop structure of the grid: BFS levels show the high diameter
 	// that drives the paper's Road-graph pathology.
-	_, levels, err := lagraph.BreadthFirstSearch(g, src, false, true)
+	_, levels, err := lagraph.BreadthFirstSearch(ctx, g, src, false, true)
 	if err != nil && !lagraph.IsWarning(err) {
 		log.Fatal(err)
 	}

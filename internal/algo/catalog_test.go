@@ -56,7 +56,7 @@ func TestLookupUnknownCarriesKnownNames(t *testing.T) {
 func TestBuiltinCatalogShape(t *testing.T) {
 	c := Builtin()
 	wantBasic := []string{"bc", "bfs", "cc", "lcc", "pagerank", "sssp", "tc"}
-	wantAdvanced := []string{"bfs.level", "cc.advanced", "pagerank.gx", "tc.advanced"}
+	wantAdvanced := []string{"bellmanford", "bfs.level", "cc.advanced", "cdlp", "ktruss", "mis", "pagerank.gx", "tc.advanced"}
 
 	infos := c.List()
 	var gotBasic, gotAdvanced []string

@@ -11,8 +11,9 @@ import (
 
 // Builtin returns a fresh catalog with every built-in kernel registered:
 // the six GAP kernels in Basic mode, the Advanced-tier variants
-// (bfs.level, pagerank.gx, cc.advanced, tc.advanced), and the local
-// clustering coefficient. Each registration is self-contained — adding
+// (bfs.level, pagerank.gx, cc.advanced, tc.advanced), the local
+// clustering coefficient, and the Advanced-tier kernels beyond the GAP
+// six (bellmanford, cdlp, ktruss, mis). Each registration is self-contained — adding
 // an algorithm here (or registering one into a Catalog at runtime) is
 // the ONLY step needed for it to reach the HTTP API, async jobs with
 // correct cache keying, introspection, the benchmark harness and the
@@ -30,6 +31,10 @@ func Builtin() *Catalog {
 	registerCCAdvanced(c)
 	registerTCAdvanced(c)
 	registerLCC(c)
+	registerBellmanFord(c)
+	registerCDLP(c)
+	registerKTruss(c)
+	registerMIS(c)
 	return c
 }
 
@@ -104,7 +109,7 @@ func registerBFS(c *Catalog) {
 				return nil, err
 			}
 			wantLevel := p.Bool("level")
-			parent, level, err := lagraph.BreadthFirstSearchCtx(ctx, g, src, true, wantLevel)
+			parent, level, err := lagraph.BreadthFirstSearch(ctx, g, src, true, wantLevel)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -152,9 +157,9 @@ func registerPageRank(c *Catalog) {
 			damping, tol, maxIter := p.Float("damping"), p.Float("tol"), p.Int("max_iter")
 			switch p.String("variant") {
 			case "gx":
-				ranks, iters, err = lagraph.PageRankGXCtx(ctx, g, damping, tol, maxIter)
+				ranks, iters, err = lagraph.PageRankGX(ctx, g, damping, tol, maxIter)
 			default:
-				ranks, iters, err = lagraph.PageRankGAPCtx(ctx, g, damping, tol, maxIter)
+				ranks, iters, err = lagraph.PageRankGAP(ctx, g, damping, tol, maxIter)
 			}
 			if err = warnOK(err); err != nil {
 				return nil, err
@@ -185,7 +190,7 @@ func registerCC(c *Catalog) {
 			return nil
 		},
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
-			labels, err := lagraph.ConnectedComponentsCtx(ctx, g)
+			labels, err := lagraph.ConnectedComponents(ctx, g)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -214,7 +219,7 @@ func registerSSSP(c *Catalog) {
 			if err := checkSource(g, src, "source"); err != nil {
 				return nil, err
 			}
-			dist, err := lagraph.SSSPDeltaSteppingCtx(ctx, g, src, p.Float("delta"))
+			dist, err := lagraph.SSSPDeltaStepping(ctx, g, src, p.Float("delta"))
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -236,7 +241,7 @@ func registerTC(c *Catalog) {
 		Undirected: true,
 		Properties: staticProps(registry.PropNDiag, registry.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, _ Params) (Result, error) {
-			count, err := lagraph.TriangleCountCtx(ctx, g)
+			count, err := lagraph.TriangleCount(ctx, g)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -271,7 +276,7 @@ func registerBC(c *Catalog) {
 					return nil, err
 				}
 			}
-			cent, err := lagraph.BetweennessCentralityAdvancedCtx(ctx, g, sources)
+			cent, err := lagraph.BetweennessCentrality(ctx, g, sources)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -294,7 +299,7 @@ func registerBFSLevel(c *Catalog) {
 			if err := checkSource(g, src, "source"); err != nil {
 				return nil, err
 			}
-			level, err := lagraph.BFSLevelCtx(ctx, g, src)
+			level, err := lagraph.BFSLevel(ctx, g, src)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -316,7 +321,7 @@ func registerPageRankGX(c *Catalog) {
 		Params:     append(pagerankParams(), limitSpec()),
 		Properties: staticProps(registry.PropAT, registry.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
-			ranks, iters, err := lagraph.PageRankGXCtx(ctx, g, p.Float("damping"), p.Float("tol"), p.Int("max_iter"))
+			ranks, iters, err := lagraph.PageRankGX(ctx, g, p.Float("damping"), p.Float("tol"), p.Int("max_iter"))
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -343,7 +348,7 @@ func registerCCAdvanced(c *Catalog) {
 			return nil
 		},
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
-			labels, err := lagraph.ConnectedComponentsAdvancedCtx(ctx, g)
+			labels, err := lagraph.ConnectedComponentsAdvanced(ctx, g)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -385,7 +390,7 @@ func registerTCAdvanced(c *Catalog) {
 				return nil, fmt.Errorf("tc.advanced: requires an undirected graph")
 			}
 			method := tcMethods[p.String("method")]
-			count, err := lagraph.TriangleCountAdvancedCtx(ctx, g, method, p.Bool("presort"))
+			count, err := lagraph.TriangleCountAdvanced(ctx, g, method, p.Bool("presort"))
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -406,7 +411,7 @@ func registerLCC(c *Catalog) {
 		Params:     []Spec{limitSpec()},
 		Properties: staticProps(registry.PropNDiag, registry.PropRowDegree),
 		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
-			lcc, err := lagraph.LocalClusteringCoefficientCtx(ctx, g)
+			lcc, err := lagraph.LocalClusteringCoefficient(ctx, g)
 			if err = warnOK(err); err != nil {
 				return nil, err
 			}
@@ -420,6 +425,117 @@ func registerLCC(c *Catalog) {
 				"mean":         mean, // averaged over all vertices, absent = 0
 				"coefficients": Summarize(lcc, p.Int("limit")),
 			}, nil
+		},
+	})
+}
+
+func registerBellmanFord(c *Catalog) {
+	c.MustRegister(Descriptor{
+		Name: "bellmanford",
+		Tier: TierAdvanced,
+		Doc: "Bellman-Ford single-source shortest paths (LAGraph's LAGraph_BF_basic): repeated " +
+			"min.plus relaxation dᵀ = dᵀ min.plus A until a fixed point. Unlike sssp it accepts " +
+			"negative edge weights and reports whether a negative cycle is reachable from the " +
+			"source. Unreachable vertices are omitted from the result.",
+		Params: []Spec{sourceSpec(), limitSpec()},
+		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
+			src := p.Int("source")
+			if err := checkSource(g, src, "source"); err != nil {
+				return nil, err
+			}
+			dist, negCycle, err := lagraph.BellmanFord(ctx, g, src)
+			if err != nil {
+				return nil, err
+			}
+			return Result{
+				"reached":        dist.NVals(),
+				"negative_cycle": negCycle,
+				"distances":      Summarize(dist, p.Int("limit")),
+			}, nil
+		},
+	})
+}
+
+func registerCDLP(c *Catalog) {
+	c.MustRegister(Descriptor{
+		Name: "cdlp",
+		Tier: TierAdvanced,
+		Doc: "Community detection by synchronous label propagation (LDBC Graphalytics CDLP, " +
+			"LAGraph's LAGraph_cdlp): every vertex adopts the most frequent label among its " +
+			"neighbours, smallest label on ties, for at most max_iter rounds. On directed graphs " +
+			"in- and out-neighbours both count, read through the cached transpose.",
+		Params: []Spec{
+			{Name: "max_iter", Type: TInt, Default: 10, Min: F64(1), Doc: "label-propagation round budget"},
+			limitSpec(),
+		},
+		Properties: func(g *Graph) []registry.Property {
+			// Directed graphs read in-neighbours through the transpose; a
+			// nil graph is the introspection probe.
+			if g == nil || g.Kind == lagraph.AdjacencyDirected {
+				return []registry.Property{registry.PropAT}
+			}
+			return nil
+		},
+		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
+			labels, err := lagraph.CommunityDetectionLabelPropagation(ctx, g, p.Int("max_iter"))
+			if err != nil {
+				return nil, err
+			}
+			return Result{
+				"communities": countDistinct(labels),
+				"labels":      Summarize(labels, p.Int("limit")),
+			}, nil
+		},
+	})
+}
+
+func registerKTruss(c *Catalog) {
+	c.MustRegister(Descriptor{
+		Name: "ktruss",
+		Tier: TierAdvanced,
+		Doc: "k-truss (LAGraph's LAGraph_ktruss): the maximal subgraph in which every edge lies " +
+			"in at least k-2 triangles, by iterating C⟨s(C)⟩ = C plus.pair Cᵀ and dropping " +
+			"under-supported edges to a fixed point. Self-edges are ignored.",
+		Undirected: true,
+		Params: []Spec{
+			{Name: "k", Type: TInt, Default: 3, Min: F64(3), Doc: "truss order: each kept edge is in at least k-2 triangles"},
+		},
+		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
+			truss, err := lagraph.KTruss(ctx, g, p.Int("k"))
+			if err != nil {
+				return nil, err
+			}
+			// Each undirected edge is stored in both directions.
+			return Result{"edges": truss.NVals() / 2}, nil
+		},
+	})
+}
+
+func registerMIS(c *Catalog) {
+	c.MustRegister(Descriptor{
+		Name: "mis",
+		Tier: TierAdvanced,
+		Doc: "Maximal independent set by Luby's algorithm (LAGraph's " +
+			"LAGraph_MaximalIndependentSet): undecided vertices draw seeded pseudo-random " +
+			"scores, local maxima join the set and their neighbours drop out, until no " +
+			"vertex is undecided.",
+		Undirected: true,
+		Params: []Spec{
+			{Name: "seed", Type: TInt, Default: 0, Min: F64(0), Doc: "seed of the per-vertex scores"},
+			limitSpec(),
+		},
+		Run: func(ctx context.Context, g *Graph, p Params) (Result, error) {
+			mis, err := lagraph.MaximalIndependentSet(ctx, g, uint64(p.Int("seed")))
+			if err != nil {
+				return nil, err
+			}
+			// Render membership as 1s so the shared vector summary applies.
+			members := grb.MustVector[int64](g.NumNodes())
+			one := grb.UnaryOp[bool, int64]{Name: "one", F: func(bool) int64 { return 1 }}
+			if err := grb.ApplyV(members, grb.NoVMask, nil, one, mis, nil); err != nil {
+				return nil, err
+			}
+			return Result{"size": mis.NVals(), "members": Summarize(members, p.Int("limit"))}, nil
 		},
 	})
 }

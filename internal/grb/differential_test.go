@@ -331,95 +331,3 @@ func TestQuickEWiseAgainstDenseReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickFusedBFSStepAgainstDenseReference checks the fused
-// push+parent-update step (fuse.go) against a dense sweep: every
-// unvisited column reachable from the frontier must be discovered with
-// *some* in-frontier parent, and nothing else may change.
-func TestQuickFusedBFSStepAgainstDenseReference(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(20)
-		A := randMatrix(rng, n, n, 0.25)
-		da := denseFrom(A)
-
-		p := MustVector[int64](n)
-		q := MustVector[int64](n)
-		visited := make([]bool, n)
-		inFrontier := make([]bool, n)
-		for i := 0; i < n; i++ {
-			switch rng.Intn(3) {
-			case 0: // visited, not frontier
-				p.SetElement(int64(i), i)
-				visited[i] = true
-			case 1: // frontier (visited by definition)
-				p.SetElement(int64(i), i)
-				q.SetElement(int64(i), i)
-				visited[i] = true
-				inFrontier[i] = true
-			}
-		}
-		p.Wait()
-		q.Wait()
-
-		if err := FusedBFSPushStep(p, q, A); err != nil {
-			t.Logf("fused: %v", err)
-			return false
-		}
-
-		wantDiscovered := make(map[int]bool)
-		for j := 0; j < n; j++ {
-			if visited[j] {
-				continue
-			}
-			for i := 0; i < n; i++ {
-				if inFrontier[i] && da.has[i][j] {
-					wantDiscovered[j] = true
-					break
-				}
-			}
-		}
-		gotP := vdenseOf(p)
-		gotQ := vdenseOf(q)
-		if len(gotQ) != len(wantDiscovered) {
-			t.Logf("seed %d: next frontier %d vertices, want %d", seed, len(gotQ), len(wantDiscovered))
-			return false
-		}
-		for j := 0; j < n; j++ {
-			parent, ok := gotP[j]
-			switch {
-			case visited[j]:
-				if !ok || parent != int64(j) {
-					t.Logf("seed %d: visited %d parent changed to %v/%v", seed, j, parent, ok)
-					return false
-				}
-				if _, inQ := gotQ[j]; inQ {
-					t.Logf("seed %d: visited %d re-entered the frontier", seed, j)
-					return false
-				}
-			case wantDiscovered[j]:
-				if !ok {
-					t.Logf("seed %d: reachable %d not discovered", seed, j)
-					return false
-				}
-				if !inFrontier[int(parent)] || !da.has[int(parent)][j] {
-					t.Logf("seed %d: %d discovered via invalid parent %d", seed, j, parent)
-					return false
-				}
-				if qp, inQ := gotQ[j]; !inQ || qp != parent {
-					t.Logf("seed %d: %d missing from next frontier (%v)", seed, j, gotQ[j])
-					return false
-				}
-			default:
-				if ok {
-					t.Logf("seed %d: unreachable %d acquired parent %d", seed, j, parent)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}

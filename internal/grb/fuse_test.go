@@ -3,94 +3,7 @@ package grb
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestFusedBFSPushStepEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(25)
-		A := randMatrix(rng, n, n, 0.15)
-		src := rng.Intn(n)
-
-		// Unfused reference: one push step + parent assign.
-		pRef := MustVector[int64](n)
-		qRef := MustVector[int64](n)
-		pRef.SetElement(int64(src), src)
-		qRef.SetElement(int64(src), src)
-		s := AnySecondI[int64, float64, int64]()
-		if err := VxM(qRef, StructVMaskOf(pRef).Not(), nil, s, qRef, A, DescR); err != nil {
-			return false
-		}
-		if err := AssignVector(pRef, StructVMaskOf(qRef), nil, qRef, All, nil); err != nil {
-			return false
-		}
-
-		// Fused step.
-		p := MustVector[int64](n)
-		q := MustVector[int64](n)
-		p.SetElement(int64(src), src)
-		q.SetElement(int64(src), src)
-		if err := FusedBFSPushStep(p, q, A); err != nil {
-			return false
-		}
-
-		// Same frontier support and same visited set (parent values may
-		// differ under any semantics, but with a single-source frontier
-		// they cannot here).
-		if q.NVals() != qRef.NVals() || p.NVals() != pRef.NVals() {
-			return false
-		}
-		ok := true
-		qRef.Iterate(func(i int, _ int64) {
-			if _, err := q.ExtractElement(i); err != nil {
-				ok = false
-			}
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFusedBFSFullTraversal(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 40
-	A := randMatrix(rng, n, n, 0.1)
-	p := MustVector[int64](n)
-	q := MustVector[int64](n)
-	p.SetElement(0, 0)
-	q.SetElement(0, 0)
-	for q.NVals() > 0 {
-		if err := FusedBFSPushStep(p, q, A); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Every parent must be a real edge.
-	p.Iterate(func(i int, par int64) {
-		if i == 0 {
-			return
-		}
-		if _, err := A.ExtractElement(int(par), i); err != nil {
-			t.Fatalf("parent %d->%d not an edge", par, i)
-		}
-	})
-}
-
-func TestFusedBFSValidation(t *testing.T) {
-	A := MustMatrix[float64](3, 4)
-	p := MustVector[int64](3)
-	q := MustVector[int64](3)
-	if err := FusedBFSPushStep(p, q, A); err == nil {
-		t.Fatal("non-square matrix accepted")
-	}
-	B := MustMatrix[float64](3, 3)
-	short := MustVector[int64](2)
-	if err := FusedBFSPushStep(short, q, B); err == nil {
-		t.Fatal("short vector accepted")
-	}
-}
 
 func TestKroneckerSmall(t *testing.T) {
 	// A = [[1,2],[0,3]] (sparse), B = [[0,5],[6,0]] patterns.

@@ -2,6 +2,7 @@ package lagraph
 
 import (
 	"container/heap"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -227,7 +228,7 @@ func TestBFSParentPushOnlyRandomGraphs(t *testing.T) {
 		n := 5 + rng.Intn(30)
 		g := mustGraph(t, randDigraph(rng, n, 0.15), AdjacencyDirected)
 		src := rng.Intn(n)
-		p, err := BFSParentPushOnly(g, src)
+		p, err := BFSParentPushOnly(context.Background(), g, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,12 +243,14 @@ func TestBFSParentDirectionOptimizing(t *testing.T) {
 		g := mustGraph(t, randDigraph(rng, n, 0.2), AdjacencyDirected)
 		src := rng.Intn(n)
 		// Advanced mode demands properties.
-		if _, err := BFSParent(g, src); StatusOf(err) != StatusPropertyMissing {
+		if _, err := BFSLevel(context.Background(), g, src); StatusOf(err) != StatusPropertyMissing {
 			t.Fatalf("advanced BFS without properties: %v", err)
 		}
 		g.PropertyAT()
 		g.PropertyRowDegree()
-		p, err := BFSParent(g, src)
+		// With both properties cached, Basic mode computes nothing and
+		// returns no warning.
+		p, _, err := BreadthFirstSearch(context.Background(), g, src, true, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +266,7 @@ func TestBFSLevelsMatchReference(t *testing.T) {
 		src := rng.Intn(n)
 		g.PropertyAT()
 		g.PropertyRowDegree()
-		l, err := BFSLevel(g, src)
+		l, err := BFSLevel(context.Background(), g, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +291,7 @@ func TestBFSLevelsMatchReference(t *testing.T) {
 func TestBreadthFirstSearchBasicCachesProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	g := mustGraph(t, randDigraph(rng, 20, 0.2), AdjacencyDirected)
-	p, l, err := BreadthFirstSearch(g, 0, true, true)
+	p, l, err := BreadthFirstSearch(context.Background(), g, 0, true, true)
 	if err != nil && !IsWarning(err) {
 		t.Fatal(err)
 	}
@@ -307,10 +310,10 @@ func TestBreadthFirstSearchBasicCachesProperties(t *testing.T) {
 func TestBFSSourceValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	g := mustGraph(t, randDigraph(rng, 5, 0.3), AdjacencyDirected)
-	if _, err := BFSParentPushOnly(g, -1); StatusOf(err) != StatusInvalidValue {
+	if _, err := BFSParentPushOnly(context.Background(), g, -1); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("negative source accepted")
 	}
-	if _, err := BFSParentPushOnly(g, 5); StatusOf(err) != StatusInvalidValue {
+	if _, err := BFSParentPushOnly(context.Background(), g, 5); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("out-of-range source accepted")
 	}
 }
@@ -320,7 +323,7 @@ func TestBFSDisconnectedGraph(t *testing.T) {
 	A, _ := grb.MatrixFromTuples(4, 4,
 		[]int{0, 1, 2, 3}, []int{1, 0, 3, 2}, []float64{1, 1, 1, 1}, nil)
 	g := mustGraph(t, A, AdjacencyUndirected)
-	p, err := BFSParentPushOnly(g, 0)
+	p, err := BFSParentPushOnly(context.Background(), g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +346,7 @@ func TestBFSStepBatchMode(t *testing.T) {
 		q.SetElement(int64(src), src)
 		steps := 0
 		for q.NVals() > 0 && steps < n {
-			if err := BFSStep(g, p, q); err != nil {
+			if err := BFSStep(context.Background(), g, p, q); err != nil {
 				t.Fatal(err)
 			}
 			steps++
@@ -368,7 +371,7 @@ func TestBFSStepValidation(t *testing.T) {
 	g := mustGraph(t, randDigraph(rng, 5, 0.3), AdjacencyDirected)
 	p := grb.MustVector[int64](3)
 	q := grb.MustVector[int64](5)
-	if err := BFSStep(g, p, q); StatusOf(err) != StatusInvalidValue {
+	if err := BFSStep(context.Background(), g, p, q); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -416,7 +419,7 @@ func TestPageRankGXMatchesDensePowerIteration(t *testing.T) {
 		g.PropertyAT()
 		g.PropertyRowDegree()
 		iters := 30
-		r, _, err := PageRankGX(g, 0.85, 0, iters) // tol 0: run all iters
+		r, _, err := PageRankGX(context.Background(), g, 0.85, 0, iters) // tol 0: run all iters
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +437,7 @@ func TestPageRankGXSumsToOne(t *testing.T) {
 	g := mustGraph(t, randDigraph(rng, 30, 0.15), AdjacencyDirected)
 	g.PropertyAT()
 	g.PropertyRowDegree()
-	r, _, err := PageRankGX(g, 0.85, 1e-10, 200)
+	r, _, err := PageRankGX(context.Background(), g, 0.85, 1e-10, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +454,7 @@ func TestPageRankGAPLeaksRankAtSinks(t *testing.T) {
 	g := mustGraph(t, A, AdjacencyDirected)
 	g.PropertyAT()
 	g.PropertyRowDegree()
-	r, _, err := PageRankGAP(g, 0.85, 1e-9, 100)
+	r, _, err := PageRankGAP(context.Background(), g, 0.85, 1e-9, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +462,7 @@ func TestPageRankGAPLeaksRankAtSinks(t *testing.T) {
 	if sum >= 0.999 {
 		t.Fatalf("GAP variant should leak rank at sinks, sum=%v", sum)
 	}
-	rGX, _, err := PageRankGX(g, 0.85, 1e-12, 500)
+	rGX, _, err := PageRankGX(context.Background(), g, 0.85, 1e-12, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,8 +483,10 @@ func TestPageRankRanksHubsHigher(t *testing.T) {
 	}
 	A, _ := grb.MatrixFromTuples(10, 10, rows, cols, vals, nil)
 	g := mustGraph(t, A, AdjacencyDirected)
-	r, _, err := PageRank(g, 0.85, 1e-9, 100)
-	if err != nil && !IsWarning(err) {
+	g.PropertyAT()
+	g.PropertyRowDegree()
+	r, _, err := PageRankGX(context.Background(), g, 0.85, 1e-9, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
 	r0, _ := r.ExtractElement(0)
@@ -494,12 +499,12 @@ func TestPageRankRanksHubsHigher(t *testing.T) {
 func TestPageRankValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	g := mustGraph(t, randDigraph(rng, 5, 0.3), AdjacencyDirected)
-	if _, _, err := PageRankGAP(g, 0.85, 1e-4, 10); StatusOf(err) != StatusPropertyMissing {
+	if _, _, err := PageRankGAP(context.Background(), g, 0.85, 1e-4, 10); StatusOf(err) != StatusPropertyMissing {
 		t.Fatal("advanced PR without properties must fail")
 	}
 	g.PropertyAT()
 	g.PropertyRowDegree()
-	if _, _, err := PageRankGAP(g, 1.5, 1e-4, 10); StatusOf(err) != StatusInvalidValue {
+	if _, _, err := PageRankGAP(context.Background(), g, 1.5, 1e-4, 10); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("bad damping accepted")
 	}
 }
@@ -513,7 +518,7 @@ func TestTriangleCountMethodsAgreeWithBruteForce(t *testing.T) {
 		n := 6 + rng.Intn(25)
 		g := mustGraph(t, randUndirected(rng, n, 0.25, 1), AdjacencyUndirected)
 		want := refTriangles(g.A)
-		got, err := TriangleCount(g)
+		got, err := TriangleCount(context.Background(), g)
 		if err != nil && !IsWarning(err) {
 			t.Fatal(err)
 		}
@@ -522,7 +527,7 @@ func TestTriangleCountMethodsAgreeWithBruteForce(t *testing.T) {
 		}
 		g.PropertyRowDegree()
 		for _, m := range []TCMethod{TCSandiaLUT, TCSandiaLL, TCBurkhardt, TCCohen} {
-			got, err := TriangleCountAdvanced(g, m, false)
+			got, err := TriangleCountAdvanced(context.Background(), g, m, false)
 			if err != nil {
 				t.Fatalf("method %d: %v", m, err)
 			}
@@ -531,7 +536,7 @@ func TestTriangleCountMethodsAgreeWithBruteForce(t *testing.T) {
 			}
 		}
 		// Presorted variant must agree too.
-		got, err = TriangleCountAdvanced(g, TCSandiaLUT, true)
+		got, err = TriangleCountAdvanced(context.Background(), g, TCSandiaLUT, true)
 		if err != nil || got != want {
 			t.Fatalf("presorted = %d (%v), want %d", got, err, want)
 		}
@@ -548,7 +553,7 @@ func TestTriangleCountStripsSelfEdges(t *testing.T) {
 	}
 	A, _ := grb.MatrixFromTuples(3, 3, rows, cols, vals, nil)
 	g := mustGraph(t, A, AdjacencyUndirected)
-	got, err := TriangleCount(g)
+	got, err := TriangleCount(context.Background(), g)
 	if err != nil && !IsWarning(err) {
 		t.Fatal(err)
 	}
@@ -564,7 +569,7 @@ func TestTriangleCountStripsSelfEdges(t *testing.T) {
 func TestTriangleCountRequiresUndirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := mustGraph(t, randDigraph(rng, 5, 0.4), AdjacencyDirected)
-	if _, err := TriangleCount(g); StatusOf(err) != StatusInvalidGraph {
+	if _, err := TriangleCount(context.Background(), g); StatusOf(err) != StatusInvalidGraph {
 		t.Fatal("directed graph accepted")
 	}
 }
@@ -577,7 +582,7 @@ func TestConnectedComponentsMatchUnionFind(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 5 + rng.Intn(60)
 		g := mustGraph(t, randUndirected(rng, n, 2.0/float64(n), 1), AdjacencyUndirected)
-		f, err := ConnectedComponents(g)
+		f, err := ConnectedComponents(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -606,7 +611,7 @@ func TestConnectedComponentsDirectedWeak(t *testing.T) {
 	// 0->1, 2->1: weakly connected as one component.
 	A, _ := grb.MatrixFromTuples(4, 4, []int{0, 2}, []int{1, 1}, []float64{1, 1}, nil)
 	g := mustGraph(t, A, AdjacencyDirected)
-	f, err := ConnectedComponents(g)
+	f, err := ConnectedComponents(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +630,7 @@ func TestConnectedComponentsDirectedWeak(t *testing.T) {
 func TestConnectedComponentsAdvancedValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	g := mustGraph(t, randDigraph(rng, 6, 0.3), AdjacencyDirected)
-	if _, err := ConnectedComponentsAdvanced(g); StatusOf(err) != StatusPropertyMissing {
+	if _, err := ConnectedComponentsAdvanced(context.Background(), g); StatusOf(err) != StatusPropertyMissing {
 		t.Fatal("advanced CC must demand symmetry knowledge")
 	}
 }
@@ -640,7 +645,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 		g := mustGraph(t, randUndirected(rng, n, 0.15, 10), AdjacencyUndirected)
 		src := rng.Intn(n)
 		for _, delta := range []float64{1, 3, 100} {
-			d, err := SSSPDeltaStepping(g, src, delta)
+			d, err := SSSPDeltaStepping(context.Background(), g, src, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -672,7 +677,9 @@ func TestSSSPDirectedWeighted(t *testing.T) {
 		}
 		W, _ := grb.MatrixFromTuples(n, n, rows, cols, vals, nil)
 		g := mustGraph(t, W, AdjacencyDirected)
-		d, err := SingleSourceShortestPath(g, 0, 0) // heuristic delta
+		// Δ = 4 is below the largest weight, so both light and heavy
+		// edges are relaxed.
+		d, err := SSSPDeltaStepping(context.Background(), g, 0, 4.0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -716,7 +723,7 @@ func TestSSSPIntegerWeights(t *testing.T) {
 		Ai, _ := grb.MatrixFromTuples(n, n, rows, cols, vals, nil)
 		gi, _ := New(&Ai, AdjacencyDirected)
 		Af, _ := grb.MatrixFromTuples(n, n, rows, cols, fvals, nil)
-		di, err := SSSPDeltaStepping(gi, 0, int64(3))
+		di, err := SSSPDeltaStepping(context.Background(), gi, 0, int64(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -739,10 +746,10 @@ func TestSSSPIntegerWeights(t *testing.T) {
 func TestSSSPValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	g := mustGraph(t, randUndirected(rng, 5, 0.4, 5), AdjacencyUndirected)
-	if _, err := SSSPDeltaStepping(g, 0, -1); StatusOf(err) != StatusInvalidValue {
+	if _, err := SSSPDeltaStepping(context.Background(), g, 0, -1); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("negative delta accepted")
 	}
-	if _, err := SSSPDeltaStepping(g, 99, 1); StatusOf(err) != StatusInvalidValue {
+	if _, err := SSSPDeltaStepping(context.Background(), g, 99, 1); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("bad source accepted")
 	}
 }
@@ -766,7 +773,7 @@ func TestBetweennessCentralityMatchesBrandes(t *testing.T) {
 				sources = append(sources, s)
 			}
 		}
-		c, err := BetweennessCentralityAdvanced(g, sources)
+		c, err := BetweennessCentrality(context.Background(), g, sources)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -786,7 +793,7 @@ func TestBetweennessCentralityDirectedMatchesBrandes(t *testing.T) {
 		g := mustGraph(t, randDigraph(rng, n, 0.15), AdjacencyDirected)
 		g.PropertyAT()
 		sources := []int{rng.Intn(n), rng.Intn(n)}
-		c, err := BetweennessCentralityAdvanced(g, sources)
+		c, err := BetweennessCentrality(context.Background(), g, sources)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -805,8 +812,9 @@ func TestBetweennessCentralityPathGraph(t *testing.T) {
 		[]int{0, 1, 1, 2, 2, 3}, []int{1, 0, 2, 1, 3, 2},
 		[]float64{1, 1, 1, 1, 1, 1}, nil)
 	g := mustGraph(t, A, AdjacencyUndirected)
-	c, err := BetweennessCentrality(g, []int{0})
-	if err != nil && !IsWarning(err) {
+	g.PropertyAT()
+	c, err := BetweennessCentrality(context.Background(), g, []int{0})
+	if err != nil {
 		t.Fatal(err)
 	}
 	c1, _ := c.ExtractElement(1)
@@ -820,10 +828,10 @@ func TestBetweennessValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	g := mustGraph(t, randUndirected(rng, 5, 0.4, 1), AdjacencyUndirected)
 	g.PropertyAT()
-	if _, err := BetweennessCentralityAdvanced(g, nil); StatusOf(err) != StatusInvalidValue {
+	if _, err := BetweennessCentrality(context.Background(), g, nil); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := BetweennessCentralityAdvanced(g, []int{9}); StatusOf(err) != StatusInvalidValue {
+	if _, err := BetweennessCentrality(context.Background(), g, []int{9}); StatusOf(err) != StatusInvalidValue {
 		t.Fatal("bad source accepted")
 	}
 }

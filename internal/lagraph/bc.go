@@ -17,46 +17,26 @@ import (
 // when the frontier matrix is denser than 1/bcPullThreshold.
 const bcPullThreshold = 10
 
-// BetweennessCentrality is the Basic-mode entry point: it caches AT if
-// needed and runs the batched algorithm (a typical batch is 4 sources,
-// paper §IV-B).
-func BetweennessCentrality[T grb.Value](g *Graph[T], sources []int) (*grb.Vector[float64], error) {
+// BetweennessCentrality is Algorithm 3 (Advanced mode): G.AT must be
+// cached. A typical batch is 4 sources (paper §IV-B). ctx is polled once
+// per BFS level in the forward phase and once per level in the backtrack
+// phase, returning ctx.Err() once it is done.
+func BetweennessCentrality[T grb.Value](ctx context.Context, g *Graph[T], sources []int) (*grb.Vector[float64], error) {
 	if g == nil || g.A == nil {
 		return nil, errf(StatusInvalidGraph, "BetweennessCentrality: nil graph")
 	}
-	if g.CachedAT() == nil {
-		if err := g.PropertyAT(); err != nil && !IsWarning(err) {
-			return nil, err
-		}
-	}
-	return BetweennessCentralityAdvanced(g, sources)
-}
-
-// BetweennessCentralityAdvanced is Algorithm 3 (Advanced mode): G.AT must
-// be cached.
-func BetweennessCentralityAdvanced[T grb.Value](g *Graph[T], sources []int) (*grb.Vector[float64], error) {
-	return BetweennessCentralityAdvancedCtx(context.Background(), g, sources)
-}
-
-// BetweennessCentralityAdvancedCtx is the cancellable Advanced-mode BC:
-// ctx is polled once per BFS level in the forward phase and once per
-// level in the backtrack phase, returning ctx.Err() once it is done.
-func BetweennessCentralityAdvancedCtx[T grb.Value](ctx context.Context, g *Graph[T], sources []int) (*grb.Vector[float64], error) {
-	if g == nil || g.A == nil {
-		return nil, errf(StatusInvalidGraph, "BetweennessCentralityAdvanced: nil graph")
-	}
 	at := g.CachedAT()
 	if at == nil {
-		return nil, errf(StatusPropertyMissing, "BetweennessCentralityAdvanced: G.AT not cached")
+		return nil, errf(StatusPropertyMissing, "BetweennessCentrality: G.AT not cached")
 	}
 	n := g.NumNodes()
 	ns := len(sources)
 	if ns == 0 {
-		return nil, errf(StatusInvalidValue, "BetweennessCentralityAdvanced: empty source batch")
+		return nil, errf(StatusInvalidValue, "BetweennessCentrality: empty source batch")
 	}
 	for _, s := range sources {
 		if s < 0 || s >= n {
-			return nil, errf(StatusInvalidValue, "BetweennessCentralityAdvanced: source %d outside [0,%d)", s, n)
+			return nil, errf(StatusInvalidValue, "BetweennessCentrality: source %d outside [0,%d)", s, n)
 		}
 	}
 

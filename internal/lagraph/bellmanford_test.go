@@ -1,12 +1,12 @@
-package experimental
+package lagraph
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"lagraph/internal/grb"
-	"lagraph/internal/lagraph"
 )
 
 // refBellmanFord is the textbook O(V·E) reference.
@@ -38,7 +38,7 @@ func refBellmanFord(n int, edges [][3]float64, src int) ([]float64, bool) {
 	return dist, false
 }
 
-func buildWeighted(t *testing.T, n int, edges [][3]float64) *lagraph.Graph[float64] {
+func buildWeighted(t *testing.T, n int, edges [][3]float64) *Graph[float64] {
 	t.Helper()
 	var rows, cols []int
 	var vals []float64
@@ -51,7 +51,7 @@ func buildWeighted(t *testing.T, n int, edges [][3]float64) *lagraph.Graph[float
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := lagraph.New(&A, lagraph.AdjacencyDirected)
+	g, err := New(&A, AdjacencyDirected)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestBellmanFordPositiveWeightsMatchReference(t *testing.T) {
 			}
 		}
 		g := buildWeighted(t, n, edges)
-		d, neg, err := BellmanFord(g, 0)
+		d, neg, err := BellmanFord(context.Background(), g, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestBellmanFordNegativeEdges(t *testing.T) {
 	// 0 -> 1 (4), 0 -> 2 (6), 2 -> 1 (-3): best path to 1 is 3 via 2.
 	edges := [][3]float64{{0, 1, 4}, {0, 2, 6}, {2, 1, -3}}
 	g := buildWeighted(t, 3, edges)
-	d, neg, err := BellmanFord(g, 0)
+	d, neg, err := BellmanFord(context.Background(), g, 0)
 	if err != nil || neg {
 		t.Fatalf("err=%v neg=%v", err, neg)
 	}
@@ -112,7 +112,7 @@ func TestBellmanFordDetectsNegativeCycle(t *testing.T) {
 	// Cycle 1 -> 2 -> 1 with total weight -1, reachable from 0.
 	edges := [][3]float64{{0, 1, 1}, {1, 2, 2}, {2, 1, -3}}
 	g := buildWeighted(t, 3, edges)
-	_, neg, err := BellmanFord(g, 0)
+	_, neg, err := BellmanFord(context.Background(), g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestBellmanFordDetectsNegativeCycle(t *testing.T) {
 	}
 	// The same cycle NOT reachable from the source is fine.
 	g2 := buildWeighted(t, 4, [][3]float64{{1, 2, 2}, {2, 1, -3}, {0, 3, 1}})
-	_, neg2, err := BellmanFord(g2, 0)
+	_, neg2, err := BellmanFord(context.Background(), g2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestBellmanFordAgreesWithDeltaStepping(t *testing.T) {
 			}
 		}
 		g := buildWeighted(t, n, edges)
-		bf, neg, err := BellmanFord(g, 0)
+		bf, neg, err := BellmanFord(context.Background(), g, 0)
 		if err != nil || neg {
 			t.Fatalf("bf: %v %v", err, neg)
 		}
-		ds, err := lagraph.SSSPDeltaStepping(g, 0, 5)
+		ds, err := SSSPDeltaStepping(context.Background(), g, 0, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestBellmanFordAgreesWithDeltaStepping(t *testing.T) {
 
 func TestBellmanFordValidation(t *testing.T) {
 	g := buildWeighted(t, 3, [][3]float64{{0, 1, 1}})
-	if _, _, err := BellmanFord(g, 9); err == nil {
+	if _, _, err := BellmanFord(context.Background(), g, 9); err == nil {
 		t.Fatal("bad source accepted")
 	}
 }

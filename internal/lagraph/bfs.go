@@ -29,10 +29,10 @@ const (
 )
 
 // BFSParentPushOnly is Algorithm 1 (Advanced mode): the push-only parents
-// BFS. It needs no cached properties. The returned vector holds, for every
-// reached vertex, the id of its BFS-tree parent (the source maps to
-// itself).
-func BFSParentPushOnly[T grb.Value](g *Graph[T], src int) (*grb.Vector[int64], error) {
+// BFS, one BFSStep per level. It needs no cached properties. The returned
+// vector holds, for every reached vertex, the id of its BFS-tree parent
+// (the source maps to itself). ctx is polled once per level.
+func BFSParentPushOnly[T grb.Value](ctx context.Context, g *Graph[T], src int) (*grb.Vector[int64], error) {
 	if err := validateSource(g, src, "BFSParentPushOnly"); err != nil {
 		return nil, err
 	}
@@ -41,52 +41,18 @@ func BFSParentPushOnly[T grb.Value](g *Graph[T], src int) (*grb.Vector[int64], e
 	q := grb.MustVector[int64](n)
 	lagTry(p.SetElement(int64(src), src))
 	lagTry(q.SetElement(int64(src), src))
-	semiring := grb.AnySecondI[int64, T, int64]()
-	for level := 1; level < n; level++ {
-		// qᵀ⟨¬s(pᵀ), r⟩ = qᵀ any.secondi A
-		if err := grb.VxM(q, grb.StructVMaskOf(p).Not(), nil, semiring, q, g.A, grb.DescR); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "BFS push step")
-		}
-		if q.NVals() == 0 {
-			break
-		}
-		// p⟨s(q)⟩ = q
-		if err := grb.AssignVector(p, grb.StructVMaskOf(q), nil, q, grb.All, nil); err != nil {
-			return nil, wrap(StatusInvalidValue, err, "BFS parent update")
+	for level := 1; level < n && q.NVals() > 0; level++ {
+		if err := BFSStep(ctx, g, p, q); err != nil {
+			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// BFSParent is Algorithm 2 (Advanced mode): the direction-optimizing
-// parents BFS. It requires the cached transpose AT (pull direction) and
-// RowDegree (the push/pull heuristic); missing properties are an error,
-// never computed behind the caller's back.
-func BFSParent[T grb.Value](g *Graph[T], src int) (*grb.Vector[int64], error) {
-	if err := validateSource(g, src, "BFSParent"); err != nil {
-		return nil, err
-	}
-	at, rowDegree := g.CachedAT(), g.CachedRowDegree()
-	if at == nil {
-		return nil, errf(StatusPropertyMissing, "BFSParent: G.AT not cached (advanced mode computes nothing; call PropertyAT)")
-	}
-	if rowDegree == nil {
-		return nil, errf(StatusPropertyMissing, "BFSParent: G.RowDegree not cached (call PropertyRowDegree)")
-	}
-	p, _, err := bfsDirOpt(context.Background(), g, at, rowDegree, src, true, false)
-	return p, err
-}
-
 // BFSLevel computes the BFS level (hop distance) of every reached vertex,
-// with the source at level 0 (Advanced mode: same property requirements as
-// BFSParent).
-func BFSLevel[T grb.Value](g *Graph[T], src int) (*grb.Vector[int32], error) {
-	return BFSLevelCtx(context.Background(), g, src)
-}
-
-// BFSLevelCtx is the cancellable BFSLevel: the traversal polls ctx once
-// per level.
-func BFSLevelCtx[T grb.Value](ctx context.Context, g *Graph[T], src int) (*grb.Vector[int32], error) {
+// with the source at level 0 (Advanced mode: G.AT and G.RowDegree must be
+// cached). The traversal polls ctx once per level.
+func BFSLevel[T grb.Value](ctx context.Context, g *Graph[T], src int) (*grb.Vector[int32], error) {
 	if err := validateSource(g, src, "BFSLevel"); err != nil {
 		return nil, err
 	}
@@ -98,18 +64,12 @@ func BFSLevelCtx[T grb.Value](ctx context.Context, g *Graph[T], src int) (*grb.V
 	return l, err
 }
 
-// BreadthFirstSearch is the Basic-mode BFS: it computes and caches any
-// properties it needs (returning a WarnCacheNotComputed warning so callers
-// can notice), then runs the direction-optimizing algorithm. Either output
-// may be requested; pass false to skip one.
-func BreadthFirstSearch[T grb.Value](g *Graph[T], src int, wantParent, wantLevel bool) (*grb.Vector[int64], *grb.Vector[int32], error) {
-	return BreadthFirstSearchCtx(context.Background(), g, src, wantParent, wantLevel)
-}
-
-// BreadthFirstSearchCtx is the cancellable Basic-mode BFS: identical to
-// BreadthFirstSearch, but the traversal polls ctx once per level and
-// returns ctx.Err() when it is done.
-func BreadthFirstSearchCtx[T grb.Value](ctx context.Context, g *Graph[T], src int, wantParent, wantLevel bool) (*grb.Vector[int64], *grb.Vector[int32], error) {
+// BreadthFirstSearch is the Basic-mode BFS (Algorithm 2): it computes and
+// caches any properties it needs (returning a WarnCacheNotComputed warning
+// so callers can notice), then runs the direction-optimizing algorithm.
+// Either output may be requested; pass false to skip one. The traversal
+// polls ctx once per level and returns ctx.Err() when it is done.
+func BreadthFirstSearch[T grb.Value](ctx context.Context, g *Graph[T], src int, wantParent, wantLevel bool) (*grb.Vector[int64], *grb.Vector[int32], error) {
 	if err := validateSource(g, src, "BreadthFirstSearch"); err != nil {
 		return nil, nil, err
 	}
@@ -222,8 +182,9 @@ func bfsDirOpt[T grb.Value](ctx context.Context, g *Graph[T], at *grb.Matrix[T],
 // "This supports features such as batch mode in which a frontier is
 // updated and returned to the caller"). p and q are both read and
 // modified; the caller owns the loop and may inspect or edit the frontier
-// between steps. Advanced mode: nothing is cached on the graph.
-func BFSStep[T grb.Value](g *Graph[T], p, q *grb.Vector[int64]) error {
+// between steps. Advanced mode: nothing is cached on the graph. ctx is
+// polled before the step.
+func BFSStep[T grb.Value](ctx context.Context, g *Graph[T], p, q *grb.Vector[int64]) error {
 	if g == nil || g.A == nil {
 		return errf(StatusInvalidGraph, "BFSStep: nil graph")
 	}
@@ -231,13 +192,18 @@ func BFSStep[T grb.Value](g *Graph[T], p, q *grb.Vector[int64]) error {
 	if p.Size() != n || q.Size() != n {
 		return errf(StatusInvalidValue, "BFSStep: vector length mismatch")
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	semiring := grb.AnySecondI[int64, T, int64]()
+	// qᵀ⟨¬s(pᵀ), r⟩ = qᵀ any.secondi A
 	if err := grb.VxM(q, grb.StructVMaskOf(p).Not(), nil, semiring, q, g.A, grb.DescR); err != nil {
 		return wrap(StatusInvalidValue, err, "BFSStep push")
 	}
 	if q.NVals() == 0 {
 		return nil
 	}
+	// p⟨s(q)⟩ = q
 	if err := grb.AssignVector(p, grb.StructVMaskOf(q), nil, q, grb.All, nil); err != nil {
 		return wrap(StatusInvalidValue, err, "BFSStep parent update")
 	}

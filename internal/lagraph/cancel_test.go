@@ -7,10 +7,11 @@ import (
 	"time"
 
 	"lagraph/internal/gen"
+	"lagraph/internal/grb"
 )
 
-// Cancellation contract: every *Ctx algorithm polls its context inside the
-// iteration loop and returns context.Canceled — the raw sentinel, not a
+// Cancellation contract: every exported kernel polls its context inside
+// the iteration loop and returns context.Canceled — the raw sentinel, not a
 // wrapped lagraph error — once the context is done.
 
 // cancelledCtx returns an already-cancelled context.
@@ -34,13 +35,29 @@ func TestAllAlgorithmsObservePreCancelledContext(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"bfs", func() error { _, _, err := BreadthFirstSearchCtx(ctx, g, 0, true, true); return err }},
-		{"pagerank-gap", func() error { _, _, err := PageRankGAPCtx(ctx, g, 0.85, 1e-4, 100); return err }},
-		{"pagerank-gx", func() error { _, _, err := PageRankGXCtx(ctx, g, 0.85, 1e-4, 100); return err }},
-		{"cc", func() error { _, err := ConnectedComponentsCtx(ctx, g); return err }},
-		{"sssp", func() error { _, err := SSSPDeltaSteppingCtx(ctx, g, 0, 2); return err }},
-		{"tc", func() error { _, err := TriangleCountCtx(ctx, g); return err }},
-		{"bc", func() error { _, err := BetweennessCentralityAdvancedCtx(ctx, g, []int{0, 1}); return err }},
+		{"bfs", func() error { _, _, err := BreadthFirstSearch(ctx, g, 0, true, true); return err }},
+		{"bfs.level", func() error { _, err := BFSLevel(ctx, g, 0); return err }},
+		{"bfs.pushonly", func() error { _, err := BFSParentPushOnly(ctx, g, 0); return err }},
+		{"bfs.step", func() error {
+			n := g.NumNodes()
+			p, q := grb.MustVector[int64](n), grb.MustVector[int64](n)
+			lagTry(p.SetElement(0, 0))
+			lagTry(q.SetElement(0, 0))
+			return BFSStep(ctx, g, p, q)
+		}},
+		{"pagerank-gap", func() error { _, _, err := PageRankGAP(ctx, g, 0.85, 1e-4, 100); return err }},
+		{"pagerank-gx", func() error { _, _, err := PageRankGX(ctx, g, 0.85, 1e-4, 100); return err }},
+		{"cc", func() error { _, err := ConnectedComponents(ctx, g); return err }},
+		{"cc.advanced", func() error { _, err := ConnectedComponentsAdvanced(ctx, g); return err }},
+		{"sssp", func() error { _, err := SSSPDeltaStepping(ctx, g, 0, 2); return err }},
+		{"tc", func() error { _, err := TriangleCount(ctx, g); return err }},
+		{"tc.advanced", func() error { _, err := TriangleCountAdvanced(ctx, g, TCSandiaLUT, true); return err }},
+		{"lcc", func() error { _, err := LocalClusteringCoefficient(ctx, g); return err }},
+		{"bc", func() error { _, err := BetweennessCentrality(ctx, g, []int{0, 1}); return err }},
+		{"bellmanford", func() error { _, _, err := BellmanFord(ctx, g, 0); return err }},
+		{"cdlp", func() error { _, err := CommunityDetectionLabelPropagation(ctx, g, 10); return err }},
+		{"ktruss", func() error { _, err := KTruss(ctx, g, 3); return err }},
+		{"mis", func() error { _, err := MaximalIndependentSet(ctx, g, 0); return err }},
 	} {
 		if err := tc.run(); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
@@ -66,7 +83,7 @@ func TestPageRankCancelledMidIteration(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, iters, err := PageRankGXCtx(ctx, g, 0.85, -1 /* never converges */, 1<<30)
+	_, iters, err := PageRankGX(ctx, g, 0.85, -1 /* never converges */, 1<<30)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v after %d iters, want context.Canceled", err, iters)
 	}
@@ -75,24 +92,5 @@ func TestPageRankCancelledMidIteration(t *testing.T) {
 	}
 	if iters == 0 {
 		t.Fatal("expected at least one completed iteration before cancellation")
-	}
-}
-
-// TestContextFreeEntryPointsStillWork pins the compatibility contract: the
-// original signatures delegate to the Ctx variants with a background
-// context and behave exactly as before.
-func TestContextFreeEntryPointsStillWork(t *testing.T) {
-	g := graphFromEdges(t, gen.Kron(6, 8, 1))
-	if _, _, err := BreadthFirstSearch(g, 0, true, false); err != nil && !IsWarning(err) {
-		t.Fatalf("bfs: %v", err)
-	}
-	if _, _, err := PageRank(g, 0.85, 1e-4, 50); err != nil && !IsWarning(err) {
-		t.Fatalf("pagerank: %v", err)
-	}
-	if _, err := ConnectedComponents(g); err != nil && !IsWarning(err) {
-		t.Fatalf("cc: %v", err)
-	}
-	if _, err := TriangleCount(g); err != nil && !IsWarning(err) {
-		t.Fatalf("tc: %v", err)
 	}
 }

@@ -14,15 +14,10 @@ import (
 
 // ConnectedComponents is the Basic-mode entry point. Directed graphs are
 // handled by operating on the symmetrised pattern A ∪ Aᵀ (weak
-// components), which may require computing the transpose.
-func ConnectedComponents[T grb.Value](g *Graph[T]) (*grb.Vector[int64], error) {
-	return ConnectedComponentsCtx(context.Background(), g)
-}
-
-// ConnectedComponentsCtx is the cancellable Basic-mode FastSV: ctx is
-// polled once per hooking/shortcutting round, returning ctx.Err() once it
-// is done.
-func ConnectedComponentsCtx[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[int64], error) {
+// components), which may require computing the transpose. ctx is polled
+// once per hooking/shortcutting round, returning ctx.Err() once it is
+// done.
+func ConnectedComponents[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[int64], error) {
 	if g == nil || g.A == nil {
 		return nil, errf(StatusInvalidGraph, "ConnectedComponents: nil graph")
 	}
@@ -38,14 +33,9 @@ func ConnectedComponentsCtx[T grb.Value](ctx context.Context, g *Graph[T]) (*grb
 
 // ConnectedComponentsAdvanced runs FastSV directly on G.A, requiring the
 // caller to guarantee a symmetric pattern (undirected kind, or the
-// ASymmetricPattern property cached as true).
-func ConnectedComponentsAdvanced[T grb.Value](g *Graph[T]) (*grb.Vector[int64], error) {
-	return ConnectedComponentsAdvancedCtx(context.Background(), g)
-}
-
-// ConnectedComponentsAdvancedCtx is the cancellable Advanced-mode FastSV:
-// ctx is polled once per hooking/shortcutting round.
-func ConnectedComponentsAdvancedCtx[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[int64], error) {
+// ASymmetricPattern property cached as true). ctx is polled once per
+// hooking/shortcutting round.
+func ConnectedComponentsAdvanced[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[int64], error) {
 	if g == nil || g.A == nil {
 		return nil, errf(StatusInvalidGraph, "ConnectedComponentsAdvanced: nil graph")
 	}

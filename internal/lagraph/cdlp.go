@@ -1,46 +1,48 @@
-package experimental
+package lagraph
 
 import (
+	"context"
 	"sort"
 
 	"lagraph/internal/grb"
-	"lagraph/internal/lagraph"
 )
 
 // CommunityDetectionLabelPropagation (CDLP) is the Graphalytics kernel the
 // paper's future-work section points at ("we will investigate end-to-end
-// workflows based on the LDBC Graphalytics benchmark"): synchronous label
-// propagation where every vertex adopts the most frequent label among its
-// neighbours, ties broken by the smallest label. Labels start as vertex
-// ids; maxIter bounds the rounds (Graphalytics uses a fixed budget).
+// workflows based on the LDBC Graphalytics benchmark"), after LAGraph's
+// LAGraph_cdlp: synchronous label propagation where every vertex adopts
+// the most frequent label among its neighbours, ties broken by the
+// smallest label. Labels start as vertex ids; maxIter bounds the rounds
+// (Graphalytics uses a fixed budget), so a non-positive maxIter returns
+// the initial labels.
 //
-// The per-vertex mode computation has no natural semiring, so — like the
-// C LAGraph's experimental LAGraph_cdlp — the algorithm extracts the
-// adjacency structure once through GraphBLAS and computes modes over the
-// sorted neighbour-label lists each round.
-func CommunityDetectionLabelPropagation[T grb.Value](g *lagraph.Graph[T], maxIter int) (*grb.Vector[int64], error) {
+// For directed graphs Graphalytics counts each neighbour via incoming and
+// outgoing edges, so the cached G.AT is required there (Advanced mode:
+// StatusPropertyMissing when absent).
+//
+// The per-vertex mode computation has no natural semiring, so — like
+// LAGraph_cdlp — the algorithm extracts the adjacency structure once
+// through GraphBLAS and computes modes over the sorted neighbour-label
+// lists each round. ctx is polled once per round.
+func CommunityDetectionLabelPropagation[T grb.Value](ctx context.Context, g *Graph[T], maxIter int) (*grb.Vector[int64], error) {
 	if g == nil || g.A == nil {
-		return nil, lagraph.ErrInvalid("CDLP: nil graph")
+		return nil, errf(StatusInvalidGraph, "CDLP: nil graph")
 	}
 	n := g.A.NRows()
 	if g.A.NCols() != n {
-		return nil, lagraph.ErrInvalid("CDLP: adjacency matrix not square")
+		return nil, errf(StatusInvalidGraph, "CDLP: adjacency matrix not square")
 	}
-	if maxIter < 1 {
-		maxIter = 10
-	}
-	// For directed graphs Graphalytics counts each neighbour via incoming
-	// and outgoing edges; build the combined structure.
 	rows, cols, _ := g.A.ExtractTuples()
-	if g.Kind == lagraph.AdjacencyDirected {
+	if g.Kind == AdjacencyDirected {
 		at := g.CachedAT()
 		if at == nil {
-			at = grb.NewTranspose(g.A)
+			return nil, errf(StatusPropertyMissing, "CDLP: G.AT not cached (directed graphs count in-edges too; call PropertyAT)")
 		}
 		r2, c2, _ := at.ExtractTuples()
 		rows = append(rows, r2...)
 		cols = append(cols, c2...)
 	}
+	prb := ProbeFrom(ctx)
 	// CSR of the (multi-)neighbour lists.
 	ptr := make([]int, n+1)
 	for _, r := range rows {
@@ -62,8 +64,12 @@ func CommunityDetectionLabelPropagation[T grb.Value](g *lagraph.Graph[T], maxIte
 	}
 	newLabel := make([]int64, n)
 	scratch := make([]int64, 0, 64)
-	for iter := 0; iter < maxIter; iter++ {
-		changed := false
+	converged := false
+	for iter := 1; iter <= maxIter; iter++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		changed := 0
 		for v := 0; v < n; v++ {
 			lo, hi := ptr[v], ptr[v+1]
 			if lo == hi {
@@ -90,18 +96,21 @@ func CommunityDetectionLabelPropagation[T grb.Value](g *lagraph.Graph[T], maxIte
 			}
 			newLabel[v] = best
 			if best != label[v] {
-				changed = true
+				changed++
 			}
 		}
 		label, newLabel = newLabel, label
-		if !changed {
+		prb.Iter(IterStat{Iter: iter, Work: int64(changed)})
+		if changed == 0 {
+			converged = true
 			break
 		}
 	}
+	prb.SetConverged(converged)
 	out := grb.DenseVector(n, int64(0))
 	idx := grb.UnaryOp[int64, int64]{Name: "fill", PosF: func(_ int64, i, _ int) int64 { return label[i] }}
 	if err := grb.ApplyV(out, grb.NoVMask, nil, idx, out, nil); err != nil {
-		return nil, err
+		return nil, wrap(StatusInvalidValue, err, "CDLP labels")
 	}
 	return out, nil
 }

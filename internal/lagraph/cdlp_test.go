@@ -1,11 +1,11 @@
-package experimental
+package lagraph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"lagraph/internal/grb"
-	"lagraph/internal/lagraph"
 )
 
 func TestCDLPTwoCliquesWithBridge(t *testing.T) {
@@ -30,8 +30,8 @@ func TestCDLPTwoCliquesWithBridge(t *testing.T) {
 	cols = append(cols, 4, 3)
 	vals = append(vals, 1, 1)
 	A, _ := grb.MatrixFromTuples(8, 8, rows, cols, vals, nil)
-	g, _ := lagraph.New(&A, lagraph.AdjacencyUndirected)
-	labels, err := CommunityDetectionLabelPropagation(g, 20)
+	g, _ := New(&A, AdjacencyUndirected)
+	labels, err := CommunityDetectionLabelPropagation(context.Background(), g, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestCDLPIsolatedVerticesKeepOwnLabel(t *testing.T) {
 	A := grb.MustMatrix[float64](3, 3)
 	A.SetElement(1, 0, 1)
 	A.SetElement(1, 1, 0)
-	g, _ := lagraph.New(&A, lagraph.AdjacencyUndirected)
-	labels, err := CommunityDetectionLabelPropagation(g, 5)
+	g, _ := New(&A, AdjacencyUndirected)
+	labels, err := CommunityDetectionLabelPropagation(context.Background(), g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,11 @@ func TestCDLPDirectedUsesBothDirections(t *testing.T) {
 	// (the tie-break minimum of the hub's view) can survive.
 	A, _ := grb.MatrixFromTuples(4, 4,
 		[]int{1, 2, 3}, []int{0, 0, 0}, []float64{1, 1, 1}, nil)
-	g, _ := lagraph.New(&A, lagraph.AdjacencyDirected)
-	labels, err := CommunityDetectionLabelPropagation(g, 10)
+	g, _ := New(&A, AdjacencyDirected)
+	if err := g.PropertyAT(); err != nil && !IsWarning(err) {
+		t.Fatal(err)
+	}
+	labels, err := CommunityDetectionLabelPropagation(context.Background(), g, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,17 +115,25 @@ func TestCDLPDirectedUsesBothDirections(t *testing.T) {
 
 func TestCDLPDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := randUndirected(rng, 30, 0.15)
-	a, err := CommunityDetectionLabelPropagation(g, 10)
+	g := randUndirectedGraph(rng, 30, 0.15)
+	a, err := CommunityDetectionLabelPropagation(context.Background(), g, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CommunityDetectionLabelPropagation(g, 10)
+	b, err := CommunityDetectionLabelPropagation(context.Background(), g, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := lagraph.VectorIsEqual(a, b)
+	eq, err := VectorIsEqual(a, b)
 	if err != nil || !eq {
 		t.Fatalf("CDLP not deterministic: %v", err)
+	}
+}
+
+func TestCDLPDirectedRequiresAT(t *testing.T) {
+	A, _ := grb.MatrixFromTuples(2, 2, []int{0}, []int{1}, []float64{1}, nil)
+	g, _ := New(&A, AdjacencyDirected)
+	if _, err := CommunityDetectionLabelPropagation(context.Background(), g, 10); StatusOf(err) != StatusPropertyMissing {
+		t.Fatalf("err = %v, want StatusPropertyMissing", err)
 	}
 }

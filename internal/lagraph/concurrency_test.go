@@ -1,6 +1,7 @@
 package lagraph
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -105,18 +106,19 @@ func TestConcurrentPropertyMemoization(t *testing.T) {
 
 // TestConcurrentAlgorithmsShareProperties runs Basic-mode algorithms (which
 // compute missing properties behind the caller's back) concurrently on one
-// graph. The algorithms must agree with a sequential run on an identical
+// graph, beside PageRank workers that materialize its properties
+// explicitly. The algorithms must agree with a sequential run on an identical
 // graph, and the property cache must come out consistent.
 func TestConcurrentAlgorithmsShareProperties(t *testing.T) {
 	g := randomDigraph(t, 300, 8)
 
 	// Sequential reference on an identical graph.
 	ref := randomDigraph(t, 300, 8)
-	refRank, _, err := PageRank(ref, 0.85, 1e-6, 50)
-	if err != nil && !IsWarning(err) {
+	refRank, _, err := pagerankWithProperties(ref)
+	if err != nil {
 		t.Fatalf("reference PageRank: %v", err)
 	}
-	refParent, _, err := BreadthFirstSearch(ref, 0, true, false)
+	refParent, _, err := BreadthFirstSearch(context.Background(), ref, 0, true, false)
 	if err != nil && !IsWarning(err) {
 		t.Fatalf("reference BFS: %v", err)
 	}
@@ -130,8 +132,8 @@ func TestConcurrentAlgorithmsShareProperties(t *testing.T) {
 			defer wg.Done()
 			switch w % 3 {
 			case 0:
-				r, _, err := PageRank(g, 0.85, 1e-6, 50)
-				if err != nil && !IsWarning(err) {
+				r, _, err := pagerankWithProperties(g)
+				if err != nil {
 					errs <- err
 					return
 				}
@@ -139,7 +141,7 @@ func TestConcurrentAlgorithmsShareProperties(t *testing.T) {
 					errs <- errf(StatusInvalidValue, "PageRank diverged from sequential run (eq=%v err=%v)", eq, err)
 				}
 			case 1:
-				p, _, err := BreadthFirstSearch(g, 0, true, false)
+				p, _, err := BreadthFirstSearch(context.Background(), g, 0, true, false)
 				if err != nil && !IsWarning(err) {
 					errs <- err
 					return
@@ -148,7 +150,7 @@ func TestConcurrentAlgorithmsShareProperties(t *testing.T) {
 					errs <- errf(StatusInvalidValue, "BFS reached %d vertices, want %d", p.NVals(), refParent.NVals())
 				}
 			case 2:
-				if _, err := ConnectedComponents(g); err != nil && !IsWarning(err) {
+				if _, err := ConnectedComponents(context.Background(), g); err != nil && !IsWarning(err) {
 					errs <- err
 				}
 			}
@@ -162,4 +164,16 @@ func TestConcurrentAlgorithmsShareProperties(t *testing.T) {
 	if err := g.CheckGraph(); err != nil {
 		t.Fatalf("CheckGraph after concurrent algorithms: %v", err)
 	}
+}
+
+// pagerankWithProperties caches AT and RowDegree on g, then runs the
+// Graphalytics PageRank.
+func pagerankWithProperties(g *Graph[float64]) (*grb.Vector[float64], int, error) {
+	if err := g.PropertyAT(); err != nil && !IsWarning(err) {
+		return nil, 0, err
+	}
+	if err := g.PropertyRowDegree(); err != nil && !IsWarning(err) {
+		return nil, 0, err
+	}
+	return PageRankGX(context.Background(), g, 0.85, 1e-6, 50)
 }

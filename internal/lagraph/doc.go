@@ -14,13 +14,21 @@
 //
 // # User modes (paper §II-B)
 //
-// Basic entry points (BreadthFirstSearch, PageRank, TriangleCount,
-// ConnectedComponents, SingleSourceShortestPath, BetweennessCentrality)
-// "just work": they may inspect the graph, compute and cache properties,
-// and pick among specialised implementations. Advanced entry points (the
-// *Advanced / BFSParent* family) never mutate the graph: when a required
-// cached property is missing they fail with StatusPropertyMissing rather
-// than surprise the caller with hidden work.
+// Basic entry points (BreadthFirstSearch, ConnectedComponents,
+// TriangleCount, LocalClusteringCoefficient) "just work": they may inspect
+// the graph, compute and cache properties, and pick among specialised
+// implementations. Advanced entry points (BFSLevel, BFSParentPushOnly,
+// BFSStep, PageRankGAP, PageRankGX, SSSPDeltaStepping,
+// BetweennessCentrality, the *Advanced variants, BellmanFord,
+// CommunityDetectionLabelPropagation, KTruss, MaximalIndependentSet) never
+// mutate the graph: when a required cached property is missing they fail
+// with StatusPropertyMissing rather than surprise the caller with hidden
+// work. The algorithm catalog (internal/algo) declares each kernel's
+// properties and materializes them before it runs, so service callers get
+// Basic-mode convenience from Advanced-mode kernels.
+//
+// Each kernel has exactly one exported entry point, and every one takes a
+// context.Context first (see ctx.go).
 //
 // # Calling conventions (paper §II-C, §II-D)
 //

@@ -22,15 +22,9 @@ import (
 // LocalClusteringCoefficient is the Basic-mode entry: it verifies the
 // graph is undirected, strips self-edges on a temporary copy if needed
 // (caching NDiag), and returns a sparse vector of coefficients — vertices
-// in no triangle are absent (coefficient 0).
-func LocalClusteringCoefficient[T grb.Value](g *Graph[T]) (*grb.Vector[float64], error) {
-	return LocalClusteringCoefficientCtx(context.Background(), g)
-}
-
-// LocalClusteringCoefficientCtx is the cancellable Basic-mode LCC. Like
-// triangle counting it has no iteration loop, so ctx is polled between
-// its O(nnz) phases.
-func LocalClusteringCoefficientCtx[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[float64], error) {
+// in no triangle are absent (coefficient 0). Like triangle counting it has
+// no iteration loop, so ctx is polled between its O(nnz) phases.
+func LocalClusteringCoefficient[T grb.Value](ctx context.Context, g *Graph[T]) (*grb.Vector[float64], error) {
 	if g == nil || g.A == nil {
 		return nil, errf(StatusInvalidGraph, "LocalClusteringCoefficient: nil graph")
 	}

@@ -3,6 +3,7 @@ package lagraph
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"lagraph/internal/grb"
@@ -38,7 +39,7 @@ func undirectedFromEdges(t *testing.T, n int, edges [][2]int, withLoops []int) *
 // lccMap runs LCC and collects the stored entries.
 func lccMap(t *testing.T, g *Graph[float64]) map[int]float64 {
 	t.Helper()
-	v, err := LocalClusteringCoefficient(g)
+	v, err := LocalClusteringCoefficient(context.Background(), g)
 	if err != nil && !IsWarning(err) {
 		t.Fatalf("LCC: %v", err)
 	}
@@ -112,7 +113,7 @@ func TestLCCIgnoresSelfLoops(t *testing.T) {
 func TestLCCRejectsDirected(t *testing.T) {
 	A, _ := grb.MatrixFromTuples(3, 3, []int{0, 1}, []int{1, 2}, []float64{1, 1}, nil)
 	g := mustGraph(t, A, AdjacencyDirected)
-	if _, err := LocalClusteringCoefficient(g); err == nil || IsWarning(err) {
+	if _, err := LocalClusteringCoefficient(context.Background(), g); err == nil || IsWarning(err) {
 		t.Fatal("directed graph accepted")
 	}
 }
@@ -121,7 +122,54 @@ func TestLCCCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := undirectedFromEdges(t, 3, [][2]int{{0, 1}, {1, 2}, {0, 2}}, nil)
-	if _, err := LocalClusteringCoefficientCtx(ctx, g); err != context.Canceled {
+	if _, err := LocalClusteringCoefficient(ctx, g); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+func refLCC(edges map[[2]int]bool, n int) []float64 {
+	adj := make([][]int, n)
+	for e := range edges {
+		adj[e[0]] = append(adj[e[0]], e[1])
+	}
+	out := make([]float64, n)
+	for v := 0; v < n; v++ {
+		d := len(adj[v])
+		if d < 2 {
+			continue
+		}
+		links := 0
+		for _, a := range adj[v] {
+			for _, b := range adj[v] {
+				if a < b && edges[[2]int{a, b}] {
+					links++
+				}
+			}
+		}
+		out[v] = 2 * float64(links) / float64(d*(d-1))
+	}
+	return out
+}
+
+func TestLCCMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 8; trial++ {
+		n := 6 + rng.Intn(25)
+		g := randUndirectedGraph(rng, n, 0.3)
+		lcc, err := LocalClusteringCoefficient(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refLCC(edgeSet(g.A), n)
+		// Every vertex is checked; an absent entry is coefficient 0.
+		for i := 0; i < n; i++ {
+			x, err := lcc.ExtractElement(i)
+			if err != nil {
+				x = 0
+			}
+			if math.Abs(x-want[i]) > 1e-12 {
+				t.Fatalf("lcc(%d) = %v, want %v", i, x, want[i])
+			}
+		}
 	}
 }

@@ -10,81 +10,37 @@ import (
 // as the paper describes: PageRankGAP reproduces the GAP benchmark's
 // pr.cc, which does not handle dangling vertices (sinks leak rank), and
 // PageRankGX is the LDBC Graphalytics variant that redistributes sink rank
-// every iteration.
+// every iteration. Both are Advanced mode: they require the cached AT and
+// RowDegree properties, return the rank vector and the number of
+// iterations performed, and poll ctx once per power-iteration sweep.
 //
 // Both use the plus.second semiring so edge weights in A are ignored.
 
-// PageRankGAP is Algorithm 4 (Advanced mode). It requires the cached AT
-// and RowDegree properties. It returns the rank vector and the number of
-// iterations performed.
-func PageRankGAP[T grb.Value](g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
-	return PageRankGAPCtx(context.Background(), g, damping, tol, itermax)
+// PageRankGAP is Algorithm 4 as the GAP benchmark runs it.
+func PageRankGAP[T grb.Value](ctx context.Context, g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
+	return pagerank(ctx, g, damping, tol, itermax, false, "PageRankGAP")
 }
 
-// PageRankGAPCtx is the cancellable PageRankGAP: the power iteration polls
-// ctx once per sweep and returns ctx.Err() when it is done.
-func PageRankGAPCtx[T grb.Value](ctx context.Context, g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
+// PageRankGX is the Graphalytics variant: dangling vertices' rank is
+// gathered each iteration and redistributed uniformly, so the ranks
+// remain a probability distribution.
+func PageRankGX[T grb.Value](ctx context.Context, g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
+	return pagerank(ctx, g, damping, tol, itermax, true, "PageRankGX")
+}
+
+// pagerank checks the Advanced-mode property requirements and runs
+// Algorithm 4 against snapshots of the cached transpose and out-degree
+// vector (taken via the Cached* accessors, so concurrent property
+// materialization cannot race with the iteration). op names the entry
+// point in errors. ctx is polled once per power-iteration sweep.
+func pagerank[T grb.Value](ctx context.Context, g *Graph[T], damping, tol float64, itermax int, handleDangling bool, op string) (*grb.Vector[float64], int, error) {
 	if g == nil || g.A == nil {
-		return nil, 0, errf(StatusInvalidGraph, "PageRankGAP: nil graph")
+		return nil, 0, errf(StatusInvalidGraph, "%s: nil graph", op)
 	}
 	at, rowDegree := g.CachedAT(), g.CachedRowDegree()
 	if at == nil || rowDegree == nil {
-		return nil, 0, errf(StatusPropertyMissing, "PageRankGAP: G.AT and G.RowDegree must be cached")
+		return nil, 0, errf(StatusPropertyMissing, "%s: G.AT and G.RowDegree must be cached", op)
 	}
-	return pagerank(ctx, g, at, rowDegree, damping, tol, itermax, false)
-}
-
-// PageRankGX is the Graphalytics variant (Advanced mode): dangling
-// vertices' rank is gathered each iteration and redistributed uniformly,
-// so the ranks remain a probability distribution.
-func PageRankGX[T grb.Value](g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
-	return PageRankGXCtx(context.Background(), g, damping, tol, itermax)
-}
-
-// PageRankGXCtx is the cancellable PageRankGX.
-func PageRankGXCtx[T grb.Value](ctx context.Context, g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
-	if g == nil || g.A == nil {
-		return nil, 0, errf(StatusInvalidGraph, "PageRankGX: nil graph")
-	}
-	at, rowDegree := g.CachedAT(), g.CachedRowDegree()
-	if at == nil || rowDegree == nil {
-		return nil, 0, errf(StatusPropertyMissing, "PageRankGX: G.AT and G.RowDegree must be cached")
-	}
-	return pagerank(ctx, g, at, rowDegree, damping, tol, itermax, true)
-}
-
-// PageRank is the Basic-mode entry point: properties are computed and
-// cached as needed and the dangling-safe variant is selected, since basic
-// users "simply want the correct answer" (paper §II-B).
-func PageRank[T grb.Value](g *Graph[T], damping, tol float64, itermax int) (*grb.Vector[float64], int, error) {
-	if g == nil || g.A == nil {
-		return nil, 0, errf(StatusInvalidGraph, "PageRank: nil graph")
-	}
-	warned := false
-	if g.CachedAT() == nil {
-		if err := g.PropertyAT(); err != nil && !IsWarning(err) {
-			return nil, 0, err
-		}
-		warned = true
-	}
-	if g.CachedRowDegree() == nil {
-		if err := g.PropertyRowDegree(); err != nil && !IsWarning(err) {
-			return nil, 0, err
-		}
-		warned = true
-	}
-	r, it, err := pagerank(context.Background(), g, g.CachedAT(), g.CachedRowDegree(), damping, tol, itermax, true)
-	if err == nil && warned {
-		return r, it, &Warning{Status: WarnCacheNotComputed, Msg: "PageRank cached graph properties"}
-	}
-	return r, it, err
-}
-
-// pagerank runs Algorithm 4 against the caller's snapshots of the cached
-// transpose and out-degree vector (taken via the Cached* accessors, so
-// concurrent property materialization cannot race with the iteration).
-// ctx is polled once per power-iteration sweep.
-func pagerank[T grb.Value](ctx context.Context, g *Graph[T], at *grb.Matrix[T], rowDegree *grb.Vector[int64], damping, tol float64, itermax int, handleDangling bool) (*grb.Vector[float64], int, error) {
 	prb := ProbeFrom(ctx)
 	n := g.NumNodes()
 	if n == 0 {

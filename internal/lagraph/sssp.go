@@ -12,56 +12,14 @@ import (
 // bucket, with light edges relaxed to a fixed point inside the bucket and
 // heavy edges relaxed once when the bucket closes.
 
-// SingleSourceShortestPath is the Basic-mode entry point. A non-positive
-// delta selects a heuristic bucket width from the graph's mean degree.
-// Edge weights must be non-negative.
-func SingleSourceShortestPath[T grb.Number](g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
-	if err := validateSource(g, src, "SingleSourceShortestPath"); err != nil {
-		return nil, err
-	}
-	if delta <= 0 {
-		delta = defaultDelta[T](g)
-	}
-	return SSSPDeltaStepping(g, src, delta)
-}
-
-// defaultDelta picks Δ the way the GAP benchmark's runner does for its
-// synthetic graphs: a small constant works for uniform weights; scale with
-// the average weight when it is large.
-func defaultDelta[T grb.Number](g *Graph[T]) T {
-	var sum float64
-	cnt := 0
-	_, _, vals := g.A.ExtractTuples()
-	for _, v := range vals {
-		sum += float64(v)
-		cnt++
-		if cnt >= 1024 {
-			break
-		}
-	}
-	if cnt == 0 {
-		return 1
-	}
-	avg := sum / float64(cnt)
-	d := T(avg / 2)
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 // SSSPDeltaStepping is Algorithm 5 (Advanced mode): it reads only G.A and
-// requires delta > 0. Distances to unreachable vertices are +inf for
-// floating-point weight types (callers on integer graphs should use
-// Reachable to interpret the result: unreached entries hold MaxOf[T]).
-func SSSPDeltaStepping[T grb.Number](g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
-	return SSSPDeltaSteppingCtx(context.Background(), g, src, delta)
-}
-
-// SSSPDeltaSteppingCtx is the cancellable delta-stepping SSSP: ctx is
-// polled at every bucket epoch and every inner light-edge relaxation
-// round, returning ctx.Err() once it is done.
-func SSSPDeltaSteppingCtx[T grb.Number](ctx context.Context, g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
+// requires delta > 0 and non-negative edge weights. Distances to
+// unreachable vertices are +inf for floating-point weight types (callers
+// on integer graphs should use Reachable to interpret the result:
+// unreached entries hold MaxOf[T]). ctx is polled at every bucket epoch
+// and every inner light-edge relaxation round, returning ctx.Err() once
+// it is done.
+func SSSPDeltaStepping[T grb.Number](ctx context.Context, g *Graph[T], src int, delta T) (*grb.Vector[T], error) {
 	if err := validateSource(g, src, "SSSPDeltaStepping"); err != nil {
 		return nil, err
 	}

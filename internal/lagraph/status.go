@@ -142,18 +142,6 @@ func IsWarning(err error) bool {
 	return errors.As(err, &w)
 }
 
-// ErrInvalid builds a StatusInvalidValue error with the given message; it
-// is the lightweight constructor the experimental tier uses.
-func ErrInvalid(msg string) error { return errf(StatusInvalidValue, "%s", msg) }
-
-// Must panics on impossible internal errors (indices already validated by
-// the caller); it keeps construction code readable.
-func Must(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
 // tryPanic wraps an error thrown by Try so Catch can tell it apart from
 // unrelated panics.
 type tryPanic struct{ err error }

@@ -46,16 +46,11 @@ func (m TCMethod) String() string {
 // TriangleCount is the Basic-mode entry: it verifies the graph is
 // undirected with no self-edges (removing them on a temporary copy if
 // needed), caches RowDegree for the sort heuristic, and runs Algorithm 6
-// with the presort decided by SampleDegree.
-func TriangleCount[T grb.Value](g *Graph[T]) (int64, error) {
-	return TriangleCountCtx(context.Background(), g)
-}
-
-// TriangleCountCtx is the cancellable Basic-mode triangle count. TC has no
-// iteration loop — it is a handful of O(nnz)+ phases (diagonal strip,
-// degree sort, masked multiply) — so ctx is polled between phases, the
-// finest granularity the formulation admits.
-func TriangleCountCtx[T grb.Value](ctx context.Context, g *Graph[T]) (int64, error) {
+// with the presort decided by SampleDegree. TC has no iteration loop — it
+// is a handful of O(nnz)+ phases (diagonal strip, degree sort, masked
+// multiply) — so ctx is polled between phases, the finest granularity the
+// formulation admits.
+func TriangleCount[T grb.Value](ctx context.Context, g *Graph[T]) (int64, error) {
 	if g == nil || g.A == nil {
 		return 0, errf(StatusInvalidGraph, "TriangleCount: nil graph")
 	}
@@ -95,24 +90,13 @@ func TriangleCountCtx[T grb.Value](ctx context.Context, g *Graph[T]) (int64, err
 		return 0, err
 	}
 	presort := mean > 4*median
-	return triangleCount(ctx, work, TCSandiaLUT, presort)
+	return TriangleCountAdvanced(ctx, work, TCSandiaLUT, presort)
 }
 
 // TriangleCountAdvanced runs a chosen method (Advanced mode: RowDegree
 // must be cached when presort is requested; nothing is computed or cached
-// on the graph).
-func TriangleCountAdvanced[T grb.Value](g *Graph[T], method TCMethod, presort bool) (int64, error) {
-	return triangleCount(context.Background(), g, method, presort)
-}
-
-// TriangleCountAdvancedCtx is the cancellable TriangleCountAdvanced: ctx
-// is polled between the formulation's phases.
-func TriangleCountAdvancedCtx[T grb.Value](ctx context.Context, g *Graph[T], method TCMethod, presort bool) (int64, error) {
-	return triangleCount(ctx, g, method, presort)
-}
-
-// triangleCount runs a chosen method, polling ctx between phases.
-func triangleCount[T grb.Value](ctx context.Context, g *Graph[T], method TCMethod, presort bool) (int64, error) {
+// on the graph). ctx is polled between the formulation's phases.
+func TriangleCountAdvanced[T grb.Value](ctx context.Context, g *Graph[T], method TCMethod, presort bool) (int64, error) {
 	if g == nil || g.A == nil {
 		return 0, errf(StatusInvalidGraph, "TriangleCountAdvanced: nil graph")
 	}
