@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -53,9 +54,9 @@ type Replicator struct {
 	lastOK   time.Time // last successful poll
 	lastErr  string
 
-	stopCh chan struct{}
+	ctx    context.Context // the poll loop's; Stop cancels it
+	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	once   sync.Once
 
 	polls      *obs.Counter
 	pollErrs   *obs.Counter
@@ -93,6 +94,7 @@ func NewReplicator(opts ReplicatorOptions) *Replicator {
 	if client == nil {
 		client = NewClient(opts.Config.Leader)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	r := &Replicator{
 		cfg:      opts.Config,
 		client:   client,
@@ -102,7 +104,8 @@ func NewReplicator(opts ReplicatorOptions) *Replicator {
 		logger:   opts.Logger,
 		onRemove: opts.OnRemove,
 		graphs:   make(map[string]*replState),
-		stopCh:   make(chan struct{}),
+		ctx:      ctx,
+		cancel:   cancel,
 	}
 	if o := opts.Obs; o != nil {
 		r.polls = o.Counter("replication_polls_total", "Replication poll cycles completed.")
@@ -139,13 +142,13 @@ func (r *Replicator) Start() {
 		defer r.wg.Done()
 		t := time.NewTicker(r.cfg.Poll)
 		defer t.Stop()
-		r.pollOnce() // first sync immediately, not a poll interval later
+		r.pollOnce(r.ctx) // first sync immediately, not a poll interval later
 		for {
 			select {
-			case <-r.stopCh:
+			case <-r.ctx.Done():
 				return
 			case <-t.C:
-				r.pollOnce()
+				r.pollOnce(r.ctx)
 			}
 		}
 	}()
@@ -153,13 +156,13 @@ func (r *Replicator) Start() {
 
 // Stop halts the poll loop and waits for an in-flight cycle.
 func (r *Replicator) Stop() {
-	r.once.Do(func() { close(r.stopCh) })
+	r.cancel()
 	r.wg.Wait()
 }
 
 // pollOnce runs one full sync cycle against the leader.
-func (r *Replicator) pollOnce() {
-	err := r.sync()
+func (r *Replicator) pollOnce(ctx context.Context) {
+	err := r.sync(ctx)
 	r.mu.Lock()
 	r.lastPoll = time.Now()
 	if err != nil {
@@ -178,7 +181,7 @@ func (r *Replicator) pollOnce() {
 
 // sync performs one cycle: list the leader's graphs, sync each, drop
 // graphs the leader no longer has.
-func (r *Replicator) sync() error {
+func (r *Replicator) sync(ctx context.Context) error {
 	infos, err := r.client.ListGraphs()
 	if err != nil {
 		return err
@@ -187,7 +190,7 @@ func (r *Replicator) sync() error {
 	var firstErr error
 	for _, info := range infos {
 		onLeader[info.Name] = true
-		if err := r.syncGraph(info); err != nil && firstErr == nil {
+		if err := r.syncGraph(ctx, info); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("%s: %w", info.Name, err)
 		}
 	}
@@ -247,7 +250,7 @@ func (r *Replicator) state(name string) *replState {
 }
 
 // syncGraph brings one graph up to the leader's head.
-func (r *Replicator) syncGraph(info store.DurableInfo) error {
+func (r *Replicator) syncGraph(ctx context.Context, info store.DurableInfo) error {
 	st := r.state(info.Name)
 	if st == nil || st.epoch != info.Epoch {
 		// First sight of the graph, or the leader recreated it: bootstrap
@@ -258,7 +261,7 @@ func (r *Replicator) syncGraph(info store.DurableInfo) error {
 		}
 		st = ns
 	}
-	return r.tail(info.Name, st)
+	return r.tail(ctx, info.Name, st)
 }
 
 // bootstrap fetches and installs the leader's checkpoint, replacing any
@@ -309,7 +312,7 @@ func (r *Replicator) bootstrap(name string) (*replState, error) {
 // tail fetches and applies the WAL records past the cursor, mirroring
 // boot-time recovery's checks: versions must be contiguous and each
 // apply must publish exactly the recorded version.
-func (r *Replicator) tail(name string, st *replState) error {
+func (r *Replicator) tail(ctx context.Context, name string, st *replState) error {
 	t, err := r.client.FetchTail(name, st.version)
 	if err != nil {
 		return err
@@ -340,7 +343,7 @@ func (r *Replicator) tail(name string, st *replState) error {
 			}
 			return nil
 		}
-		res, err := r.eng.Apply(name, b.Ops)
+		res, err := r.eng.Apply(ctx, name, b.Ops)
 		if err != nil {
 			return fmt.Errorf("apply v%d: %w", b.Version, err)
 		}

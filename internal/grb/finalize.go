@@ -255,16 +255,20 @@ func (s *rowAllowScope) ok(mk Mask, i, j int) bool {
 	return sel
 }
 
-// buildCSRParallelScoped is buildCSRParallel where every worker goroutine
-// gets a private rowAllowScope (dense per-row mask scratch).
+// buildCSRParallelScoped is buildCSRParallelPerWorker where every worker
+// goroutine gets a private rowAllowScope (a dense per-row mask buffer).
 func buildCSRParallelScoped[T Value](nr, nc int, makeRowFn func(*rowAllowScope) func(i int, emit func(j int, x T))) *Matrix[T] {
 	return buildCSRParallelPerWorker(nr, nc, func() func(i int, emit func(j int, x T)) {
 		return makeRowFn(&rowAllowScope{row: -1})
 	})
 }
 
-// buildCSRParallelPerWorker is buildCSRParallel with a worker-local rowFn
-// factory, so kernels can keep scratch state per goroutine.
+// buildCSRParallelPerWorker constructs a sparse matrix row by row. Each
+// worker goroutine calls makeRowFn once for a private rowFn (so kernels
+// can keep per-goroutine state), then calls it once per row of its
+// contiguous block with an emit function. Emitted columns need not be
+// sorted: disorder is detected per row, and the result is left jumbled
+// (lazy sort) when any row is unsorted.
 func buildCSRParallelPerWorker[T Value](nr, nc int, makeRowFn func() func(i int, emit func(j int, x T))) *Matrix[T] {
 	m := MustMatrix[T](nr, nc)
 	if nr == 0 {

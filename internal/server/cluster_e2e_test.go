@@ -497,7 +497,7 @@ func TestSingleNodeUnchangedByClusterCode(t *testing.T) {
 	}
 }
 
-// TestClusterFollowerServesAtReplicatedVersionDuringLag pins the
+// TestClusterFollowerVersionsAreExact pins the
 // bounded-staleness contract: a follower answers reads at a version it
 // has fully applied, never a torn intermediate.
 func TestClusterFollowerVersionsAreExact(t *testing.T) {

@@ -46,7 +46,7 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	res, err := s.stream.ApplyCtx(r.Context(), scopeGraph(r, display), spec.Ops)
+	res, err := s.stream.Apply(r.Context(), scopeGraph(r, display), spec.Ops)
 	if err != nil {
 		writeMutateError(w, r, err)
 		return

@@ -100,6 +100,12 @@ func TestGraphInfoExposesVersionAndDeltaState(t *testing.T) {
 	if containsStr(info["cached_properties"], "AT") {
 		t.Fatalf("AT must be invalidated by mutation: %v", info["cached_properties"])
 	}
+
+	// /stats counts the batch once, with its one op.
+	_, stats := doJSON(t, "GET", ts.URL+"/stats", nil)
+	if st := stats["stream"].(map[string]any); st["batches"].(float64) != 1 || st["ops_applied"].(float64) != 1 {
+		t.Fatalf("stream stats after one batch: %v", st)
+	}
 }
 
 func containsStr(list any, want string) bool {
@@ -120,8 +126,11 @@ func containsStr(list any, want string) bool {
 // computes against — the pre-mutation snapshot even if it runs after the
 // batch lands; a submission after the batch sees the new version; and an
 // identical post-mutation resubmission hits the re-keyed result cache.
+// CompactThreshold 1 (ratio trigger off) makes the batch fire a background
+// compaction, which republishes under the same version: the post-mutation
+// queries run on the compacted snapshot and the cache entry survives it.
 func TestHTTPSnapshotIsolationAndCacheRekey(t *testing.T) {
-	ts, _, srv := newMutationServer(t, Options{})
+	ts, _, srv := newMutationServer(t, Options{CompactThreshold: 1, CompactRatio: 1e9})
 	loadPathGraph(t, ts.URL, "g")
 
 	// Async job against v1.
@@ -140,13 +149,20 @@ func TestHTTPSnapshotIsolationAndCacheRekey(t *testing.T) {
 	// holds a lease on the v1 snapshot).
 	if code, res := mutate(t, ts.URL, "g", []map[string]any{
 		{"op": "upsert", "src": 2, "dst": 3},
-	}); code != 200 || res["version"].(float64) != 2 {
+	}); code != 200 || res["version"].(float64) != 2 || res["compaction_scheduled"] != true {
 		t.Fatalf("mutate: %d %v", code, res)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stream().StatsSnapshot().Compactions < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("background compaction never fired")
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 
 	// The pre-mutation job reaches {0,1,2} — vertex 3 was not connected
 	// in the snapshot it started on.
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		code, info := doJSON(t, "GET", ts.URL+"/jobs/"+id, nil)
 		if code != 200 {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -110,7 +111,7 @@ func (s *Store) recoverOne(reg *registry.Registry, eng *stream.Engine, name stri
 		if rec.Version != expected {
 			return fmt.Errorf("wal: version gap: have %d, want %d", rec.Version, expected)
 		}
-		res, err := eng.Apply(name, rec.Ops)
+		res, err := eng.Apply(context.Background(), name, rec.Ops)
 		if err != nil {
 			return fmt.Errorf("wal replay v%d: %w", rec.Version, err)
 		}

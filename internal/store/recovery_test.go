@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -139,7 +140,7 @@ func TestKillAndRecover(t *testing.T) {
 	// deletes, mirrored undirected ops, and one all-no-op batch (deleting
 	// absent edges) that must not publish a version or a WAL record.
 	mustApply := func(name string, ops []stream.Op) stream.Result {
-		res, err := h1.eng.Apply(name, ops)
+		res, err := h1.eng.Apply(context.Background(), name, ops)
 		if err != nil {
 			t.Fatalf("Apply %s: %v", name, err)
 		}
@@ -193,7 +194,7 @@ func TestKillAndRecover(t *testing.T) {
 
 	// The recovered incarnation keeps evolving: the next mutation lands on
 	// the next version, exactly as it would have without the restart.
-	res, err := h2.eng.Apply("dir", []stream.Op{{Op: stream.OpUpsert, Src: 2, Dst: 5}})
+	res, err := h2.eng.Apply(context.Background(), "dir", []stream.Op{{Op: stream.OpUpsert, Src: 2, Dst: 5}})
 	if err != nil {
 		t.Fatalf("post-recovery Apply: %v", err)
 	}
@@ -212,7 +213,7 @@ func TestKillAndRecoverAfterCompactionCheckpoint(t *testing.T) {
 	h1.loadGraph(t, "g", lagraph.AdjacencyDirected, 16,
 		[][3]float64{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}})
 	for i := 0; i < 6; i++ {
-		if _, err := h1.eng.Apply("g", []stream.Op{
+		if _, err := h1.eng.Apply(context.Background(), "g", []stream.Op{
 			{Op: stream.OpUpsert, Src: i, Dst: i + 4, Weight: fp(float64(i + 1))},
 			{Op: stream.OpUpsert, Src: i + 4, Dst: i, Weight: fp(float64(i + 2))},
 		}); err != nil {
@@ -231,7 +232,7 @@ func TestKillAndRecoverAfterCompactionCheckpoint(t *testing.T) {
 	}
 	// A couple more batches after the checkpoint form the WAL tail.
 	for i := 0; i < 2; i++ {
-		if _, err := h1.eng.Apply("g", []stream.Op{
+		if _, err := h1.eng.Apply(context.Background(), "g", []stream.Op{
 			{Op: stream.OpDelete, Src: i, Dst: i + 4},
 		}); err != nil {
 			t.Fatalf("tail Apply %d: %v", i, err)
@@ -254,14 +255,18 @@ func TestKillAndRecoverAfterCompactionCheckpoint(t *testing.T) {
 
 func TestRecoveryStopsAtTornTail(t *testing.T) {
 	dir := t.TempDir()
-	opts := stream.Options{CompactThreshold: 1 << 20}
+	// Compaction off: one op on a one-edge graph would cross the default
+	// ratio trigger, and the compactor's checkpoint would fold the op into
+	// the base before the fingerprint is taken.
+	opts := stream.Options{CompactThreshold: 1 << 20, CompactRatio: 1e9}
 
 	h1, _ := newHarness(t, dir, opts)
 	h1.loadGraph(t, "g", lagraph.AdjacencyDirected, 4, [][3]float64{{0, 1, 1}})
-	if _, err := h1.eng.Apply("g", []stream.Op{{Op: stream.OpUpsert, Src: 1, Dst: 2}}); err != nil {
+	if _, err := h1.eng.Apply(context.Background(), "g", []stream.Op{{Op: stream.OpUpsert, Src: 1, Dst: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	before := fingerprint(t, h1.reg, "g")
+	h1.eng.Close()
 	h1.st.Close() // release the WAL handle so the tail write below is last
 
 	// Tear the WAL tail, as a crash mid-append would.

@@ -154,10 +154,11 @@ func (s *Store) InstallCheckpoint(name string, kind lagraph.Kind, version uint64
 	if version == 0 {
 		return fmt.Errorf("store: install %q: checkpoint version must be > 0", name)
 	}
-	gf, err := s.graphOrCreate(name, kind)
-	if err != nil {
+	if err := s.beginWrite(); err != nil {
 		return err
 	}
+	defer s.wg.Done()
+	gf := s.graphOrCreate(name, kind)
 	gf.mu.Lock()
 	defer gf.mu.Unlock()
 	if gf.removed {

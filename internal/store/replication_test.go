@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestEpochLifecycle(t *testing.T) {
 
 	// A mid-history checkpoint (compaction-style, non-fresh) preserves the
 	// incarnation: same graph, same epoch.
-	if _, err := h.eng.Apply("g", []stream.Op{{Op: stream.OpUpsert, Src: 1, Dst: 2}}); err != nil {
+	if _, err := h.eng.Apply(context.Background(), "g", []stream.Op{{Op: stream.OpUpsert, Src: 1, Dst: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	lease, err := h.reg.Acquire("g")
@@ -67,7 +68,7 @@ func TestTailSince(t *testing.T) {
 
 	h.loadGraph(t, "g", lagraph.AdjacencyDirected, 8, [][3]float64{{0, 1, 1}})
 	for i := 0; i < 3; i++ {
-		if _, err := h.eng.Apply("g", []stream.Op{
+		if _, err := h.eng.Apply(context.Background(), "g", []stream.Op{
 			{Op: stream.OpUpsert, Src: i, Dst: i + 4, Weight: fp(float64(i))},
 			{Op: stream.OpDelete, Src: 7, Dst: 7},
 		}); err != nil {
@@ -118,7 +119,7 @@ func TestTailSinceExcludesTornTail(t *testing.T) {
 	defer h.eng.Close()
 
 	h.loadGraph(t, "g", lagraph.AdjacencyDirected, 4, [][3]float64{{0, 1, 1}})
-	if _, err := h.eng.Apply("g", []stream.Op{{Op: stream.OpUpsert, Src: 1, Dst: 2}}); err != nil {
+	if _, err := h.eng.Apply(context.Background(), "g", []stream.Op{{Op: stream.OpUpsert, Src: 1, Dst: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	h.st.Close() // release the append handle; the junk below is the tail
@@ -162,7 +163,7 @@ func TestInstallCheckpointAdoptsLeaderState(t *testing.T) {
 	// a dead incarnation's checkpoint and WAL — must be wiped.
 	follower, _ := newHarness(t, followerDir, opts)
 	follower.loadGraph(t, "g", lagraph.AdjacencyDirected, 3, [][3]float64{{0, 1, 5}})
-	if _, err := follower.eng.Apply("g", []stream.Op{{Op: stream.OpUpsert, Src: 1, Dst: 2}}); err != nil {
+	if _, err := follower.eng.Apply(context.Background(), "g", []stream.Op{{Op: stream.OpUpsert, Src: 1, Dst: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := follower.reg.Remove("g"); err != nil {

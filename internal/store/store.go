@@ -120,7 +120,7 @@ type Store struct {
 	lock    *os.File // flock on <dir>/LOCK, held for the store's lifetime
 
 	stopCh  chan struct{}
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // checkpointer, tomb reclaimers and admitted writes (beginWrite)
 	ckOnce  sync.Once
 	tombSeq atomic.Int64
 
@@ -433,18 +433,32 @@ func (s *Store) graph(name string) *graphFile {
 }
 
 // graphOrCreate returns (creating if needed) the handle for name.
-func (s *Store) graphOrCreate(name string, kind lagraph.Kind) (*graphFile, error) {
+func (s *Store) graphOrCreate(name string, kind lagraph.Kind) *graphFile {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
 	gf := s.graphs[name]
 	if gf == nil {
 		gf = &graphFile{dir: dirForName(s.opts.Dir, name), name: name, kind: kind}
 		s.graphs[name] = gf
 	}
-	return gf, nil
+	return gf
+}
+
+// beginWrite admits one write to the data directory, or refuses it with
+// ErrClosed once Close has begun. Every admitted write must call
+// s.wg.Done when it finishes; Close waits for them before it releases
+// the WAL handles and the data-dir lock, so nothing lands on disk after
+// Close returns — when the next incarnation may already own the
+// directory. (The stream compactor's trailing checkpoint is the caller
+// that races Close in practice.)
+func (s *Store) beginWrite() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	s.wg.Add(1)
+	return nil
 }
 
 // AppendBatch implements stream.Journal: it durably appends one accepted
@@ -452,6 +466,10 @@ func (s *Store) graphOrCreate(name string, kind lagraph.Kind) (*graphFile, error
 // before that publication happens. A graph with no checkpoint on disk
 // rejects the append — a WAL with no base to replay against is garbage.
 func (s *Store) AppendBatch(name string, version uint64, ops []stream.Op) error {
+	if err := s.beginWrite(); err != nil {
+		return err
+	}
+	defer s.wg.Done()
 	gf := s.graph(name)
 	if gf == nil {
 		return fmt.Errorf("%w: %q", ErrUnknown, name)
@@ -550,6 +568,10 @@ func (gf *graphFile) repairWALLocked(fsync bool) error {
 // if the revert itself fails, boot-time replay still discards the record
 // because its version can never join the acknowledged sequence.
 func (s *Store) RevertBatch(name string, version uint64) {
+	if s.beginWrite() != nil {
+		return
+	}
+	defer s.wg.Done()
 	gf := s.graph(name)
 	if gf == nil {
 		return
@@ -643,6 +665,10 @@ func (s *Store) Checkpoint(name string, kind lagraph.Kind, m *grb.Matrix[float64
 // a checkpoint of a large graph does not stall that graph's mutation
 // appends; only the rename, meta flip, and WAL trim hold the lock.
 func (s *Store) checkpointInto(gf *graphFile, name string, kind lagraph.Kind, m *grb.Matrix[float64], version uint64, fresh bool) error {
+	if err := s.beginWrite(); err != nil {
+		return err
+	}
+	defer s.wg.Done()
 	ckptStart := time.Now()
 	gf.mu.Lock()
 	if gf.removed {
@@ -819,11 +845,7 @@ func (s *Store) writeMeta(dir string, m meta) error {
 // engine's journal hooks, and the only path allowed to create a graph's
 // durable state.
 func (s *Store) SaveGraph(name string, g *lagraph.Graph[float64], version uint64) error {
-	gf, err := s.graphOrCreate(name, g.Kind)
-	if err != nil {
-		return err
-	}
-	return s.checkpointInto(gf, name, g.Kind, g.A, version, true)
+	return s.checkpointInto(s.graphOrCreate(name, g.Kind), name, g.Kind, g.A, version, true)
 }
 
 // RemoveGraph deletes every trace of the graph from disk. The visible
@@ -834,6 +856,10 @@ func (s *Store) SaveGraph(name string, g *lagraph.Graph[float64], version uint64
 // error (the graph may predate the store or have been evicted without
 // ever being persisted).
 func (s *Store) RemoveGraph(name string) error {
+	if err := s.beginWrite(); err != nil {
+		return err
+	}
+	defer s.wg.Done()
 	s.mu.Lock()
 	gf := s.graphs[name]
 	delete(s.graphs, name)
@@ -854,13 +880,7 @@ func (s *Store) RemoveGraph(name string) error {
 		return err
 	}
 	s.removals.Inc()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return os.RemoveAll(tomb)
-	}
-	s.wg.Add(1)
-	s.mu.Unlock()
+	s.wg.Add(1) // safe against Close's Wait: this admitted write still holds a count
 	go func() {
 		defer s.wg.Done()
 		os.RemoveAll(tomb)
@@ -966,9 +986,11 @@ func (s *Store) StatsSnapshot() Stats {
 	}
 }
 
-// Close stops the periodic checkpointer and closes open WAL handles.
-// Everything on disk is already durable; Close exists so tests and
-// daemons can release file descriptors deterministically.
+// Close stops the periodic checkpointer, waits for in-flight writes,
+// and closes open WAL handles. Everything on disk is already durable;
+// Close exists so tests and daemons can release file descriptors and the
+// data-dir lock deterministically. Writes after Close fail with
+// ErrClosed.
 func (s *Store) Close() {
 	s.mu.Lock()
 	if s.closed {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"lagraph/internal/grb"
 	"lagraph/internal/lagraph"
@@ -387,6 +388,71 @@ func TestCheckpointCannotResurrectRemovedGraph(t *testing.T) {
 	}
 	if _, err := os.Stat(dirForName(dir, "g")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("removed graph's directory came back")
+	}
+}
+
+// TestWritesAfterCloseAreRefused: once Close returns the data-dir lock is
+// released and the next incarnation may own the directory, so a
+// compactor-style checkpoint loop racing Close must stop at ErrClosed
+// with nothing landing after Close returns, and later writes of every
+// kind must be refused.
+func TestWritesAfterCloseAreRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := saveTestGraph(t, s, "g", lagraph.AdjacencyDirected,
+		testMatrix(t, 4, [][3]float64{{0, 1, 1}}), 1)
+	gdir := dirForName(dir, "g")
+	listing := func() string {
+		ents, err := os.ReadDir(gdir)
+		if err != nil {
+			t.Error(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return strings.Join(names, " ")
+	}
+
+	// Every checkpoint bumps the version, so any write that lands renames
+	// the checkpoint file and shows in the listing.
+	done := make(chan error, 1)
+	go func() {
+		for v := uint64(2); v < 1<<16; v++ {
+			if err := s.Checkpoint("g", lagraph.AdjacencyDirected, m, v); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.StatsSnapshot().Checkpoints < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("checkpoint loop never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Close()
+	atClose := listing()
+	if err := <-done; !errors.Is(err, ErrClosed) {
+		t.Fatalf("checkpoint loop ended with err=%v, want ErrClosed", err)
+	}
+
+	if err := s.Checkpoint("g", lagraph.AdjacencyDirected, m, 1<<20); !errors.Is(err, ErrClosed) {
+		t.Fatalf("checkpoint after close: err=%v, want ErrClosed", err)
+	}
+	if err := s.AppendBatch("g", 1<<20, []stream.Op{{Op: stream.OpUpsert, Src: 1, Dst: 2}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after close: err=%v, want ErrClosed", err)
+	}
+	if err := s.RemoveGraph("g"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("remove after close: err=%v, want ErrClosed", err)
+	}
+	if got := listing(); got != atClose {
+		t.Fatalf("graph dir changed after Close returned: %q -> %q", atClose, got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -74,12 +75,12 @@ func TestJournalAppendPrecedesPublish(t *testing.T) {
 	e.SetJournal(j)
 
 	for i := 0; i < 3; i++ {
-		if _, err := e.Apply("g", []Op{{Op: OpUpsert, Src: i, Dst: i + 3}}); err != nil {
+		if _, err := e.Apply(context.Background(), "g", []Op{{Op: OpUpsert, Src: i, Dst: i + 3}}); err != nil {
 			t.Fatalf("Apply %d: %v", i, err)
 		}
 	}
 	// An all-no-op batch publishes nothing and must journal nothing.
-	if _, err := e.Apply("g", []Op{{Op: OpDelete, Src: 5, Dst: 5}}); err != nil {
+	if _, err := e.Apply(context.Background(), "g", []Op{{Op: OpDelete, Src: 5, Dst: 5}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -105,7 +106,7 @@ func TestJournalAppendFailureRejectsBatch(t *testing.T) {
 	j := &fakeJournal{failAppend: errors.New("disk full")}
 	e.SetJournal(j)
 
-	if _, err := e.Apply("g", []Op{{Op: OpUpsert, Src: 1, Dst: 2}}); err == nil {
+	if _, err := e.Apply(context.Background(), "g", []Op{{Op: OpUpsert, Src: 1, Dst: 2}}); err == nil {
 		t.Fatal("Apply succeeded with a failing journal")
 	}
 	// Nothing published: same version, same content.
@@ -118,7 +119,7 @@ func TestJournalAppendFailureRejectsBatch(t *testing.T) {
 	j.mu.Lock()
 	j.failAppend = nil
 	j.mu.Unlock()
-	res, err := e.Apply("g", []Op{{Op: OpUpsert, Src: 1, Dst: 2}})
+	res, err := e.Apply(context.Background(), "g", []Op{{Op: OpUpsert, Src: 1, Dst: 2}})
 	if err != nil {
 		t.Fatalf("retry: %v", err)
 	}
@@ -141,7 +142,7 @@ func TestJournalRevertOnFailedPublish(t *testing.T) {
 		},
 		revert: func(name string, version uint64) { hook.RevertBatch(name, version) },
 	})
-	_, err := e.Apply("g", []Op{{Op: OpUpsert, Src: 1, Dst: 2}})
+	_, err := e.Apply(context.Background(), "g", []Op{{Op: OpUpsert, Src: 1, Dst: 2}})
 	if !errors.Is(err, registry.ErrNotFound) {
 		t.Fatalf("Apply err = %v, want registry.ErrNotFound", err)
 	}
@@ -173,7 +174,7 @@ func TestJournalCheckpointAfterCompaction(t *testing.T) {
 
 	var lastVersion uint64
 	for i := 0; i < 6; i++ {
-		res, err := e.Apply("g", []Op{{Op: OpUpsert, Src: i, Dst: i + 8}})
+		res, err := e.Apply(context.Background(), "g", []Op{{Op: OpUpsert, Src: i, Dst: i + 8}})
 		if err != nil {
 			t.Fatal(err)
 		}

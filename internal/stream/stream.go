@@ -319,14 +319,9 @@ func (e *Engine) state(name string) (*graphState, error) {
 // Apply validates and applies one mutation batch to the named graph,
 // publishing a new snapshot (and version) to the registry. The batch is
 // atomic: any invalid operation rejects the whole batch before state
-// changes.
-func (e *Engine) Apply(name string, ops []Op) (Result, error) {
-	return e.ApplyCtx(context.Background(), name, ops)
-}
-
-// ApplyCtx is Apply with a context carrying the caller's trace: the
-// journal append (the fsync on the write path) gets its own span.
-func (e *Engine) ApplyCtx(ctx context.Context, name string, ops []Op) (Result, error) {
+// changes. ctx carries the caller's trace: the journal append (the fsync
+// on the write path) gets its own span.
+func (e *Engine) Apply(ctx context.Context, name string, ops []Op) (Result, error) {
 	start := time.Now()
 	defer func() { e.applySecs.Observe(time.Since(start).Seconds()) }()
 	if len(ops) == 0 {

@@ -80,7 +80,7 @@ func TestApplySnapshotIsolation(t *testing.T) {
 	defer oldLease.Release()
 	v1 := oldLease.Entry().Version()
 
-	res, err := e.Apply("g", []Op{upsert(2, 3), del(0, 1)})
+	res, err := e.Apply(context.Background(), "g", []Op{upsert(2, 3), del(0, 1)})
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestApplyUndirectedMirrorsOps(t *testing.T) {
 	g0 := makeGraph(t, 4, lagraph.AdjacencyUndirected, [][2]int{{0, 1}, {1, 2}})
 	reg, e := setup(t, "u", g0, Options{})
 
-	res, err := e.Apply("u", []Op{upsert(2, 3), del(0, 1)})
+	res, err := e.Apply(context.Background(), "u", []Op{upsert(2, 3), del(0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestIncrementalDegreesAndNDiag(t *testing.T) {
 	}
 	l.Release()
 
-	res, err := e.Apply("d", []Op{
+	res, err := e.Apply(context.Background(), "d", []Op{
 		upsert(0, 3),                   // out-degree 0: 2→3, in-degree 3: 0→1
 		del(1, 1),                      // self-loop removed: ndiag 1→0
 		upsert(4, 4),                   // self-loop added: ndiag 0→1
@@ -241,7 +241,7 @@ func TestCompactionMergesLogAndKeepsVersion(t *testing.T) {
 
 	var version uint64
 	for k := 0; k < 5; k++ {
-		res, err := e.Apply("c", []Op{upsert(k%8, (k+2)%8)})
+		res, err := e.Apply(context.Background(), "c", []Op{upsert(k%8, (k+2)%8)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestCompactionMergesLogAndKeepsVersion(t *testing.T) {
 	if _, err := g.A.ExtractElement(0, 2); err != nil {
 		t.Fatal("compacted graph lost an upserted edge")
 	}
-	res, err := e.Apply("c", []Op{upsert(7, 0)})
+	res, err := e.Apply(context.Background(), "c", []Op{upsert(7, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +306,11 @@ func TestApplyValidationIsAtomic(t *testing.T) {
 		{[]Op{upsert(1, 2), del(4, 0)}, ErrBadBatch},
 	}
 	for i, tc := range cases {
-		if _, err := e.Apply("v", tc.ops); !errors.Is(err, tc.want) {
+		if _, err := e.Apply(context.Background(), "v", tc.ops); !errors.Is(err, tc.want) {
 			t.Fatalf("case %d: err = %v, want %v", i, err, tc.want)
 		}
 	}
-	if _, err := e.Apply("missing", []Op{upsert(0, 1)}); !errors.Is(err, registry.ErrNotFound) {
+	if _, err := e.Apply(context.Background(), "missing", []Op{upsert(0, 1)}); !errors.Is(err, registry.ErrNotFound) {
 		t.Fatalf("missing graph: %v", err)
 	}
 
@@ -331,7 +331,7 @@ func TestApplyAfterExternalReplaceResyncs(t *testing.T) {
 	g0 := makeGraph(t, 4, lagraph.AdjacencyDirected, [][2]int{{0, 1}})
 	reg, e := setup(t, "r", g0, Options{})
 
-	if _, err := e.Apply("r", []Op{upsert(1, 2)}); err != nil {
+	if _, err := e.Apply(context.Background(), "r", []Op{upsert(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -346,7 +346,7 @@ func TestApplyAfterExternalReplaceResyncs(t *testing.T) {
 
 	// Mutating a vertex only the new incarnation has must work: the state
 	// resynced off the fresh upload.
-	res, err := e.Apply("r", []Op{upsert(8, 9)})
+	res, err := e.Apply(context.Background(), "r", []Op{upsert(8, 9)})
 	if err != nil {
 		t.Fatalf("Apply after replace: %v", err)
 	}
@@ -390,7 +390,7 @@ func TestConcurrentMutateWhileQuerying(t *testing.T) {
 				if r%3 == 0 {
 					ops = append(ops, del((src+1)%16, (dst+2)%16))
 				}
-				if _, err := e.Apply("h", ops); err != nil {
+				if _, err := e.Apply(context.Background(), "h", ops); err != nil {
 					errc <- fmt.Errorf("mutator %d round %d: %w", m, r, err)
 					return
 				}
@@ -461,7 +461,7 @@ func TestStateLifecycle(t *testing.T) {
 
 	// Unknown names never accumulate state.
 	for i := 0; i < 5; i++ {
-		if _, err := e.Apply(fmt.Sprintf("ghost-%d", i), []Op{upsert(0, 1)}); !errors.Is(err, registry.ErrNotFound) {
+		if _, err := e.Apply(context.Background(), fmt.Sprintf("ghost-%d", i), []Op{upsert(0, 1)}); !errors.Is(err, registry.ErrNotFound) {
 			t.Fatalf("ghost apply: %v", err)
 		}
 	}
@@ -469,7 +469,7 @@ func TestStateLifecycle(t *testing.T) {
 		t.Fatalf("tracked = %d after unknown-name mutations, want 0", got)
 	}
 
-	if _, err := e.Apply("a", []Op{upsert(1, 2)}); err != nil {
+	if _, err := e.Apply(context.Background(), "a", []Op{upsert(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.StatsSnapshot().GraphsTracked; got != 1 {
@@ -489,7 +489,7 @@ func TestStateLifecycle(t *testing.T) {
 	if _, err := reg.Add("b", g1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Apply("b", []Op{upsert(2, 3)}); err != nil {
+	if _, err := e.Apply(context.Background(), "b", []Op{upsert(2, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	// Same shape as g0: fits alone, but alongside the mutated "b" (whose
@@ -513,7 +513,7 @@ func TestNoOpBatchKeepsVersion(t *testing.T) {
 	g0 := makeGraph(t, 4, lagraph.AdjacencyDirected, [][2]int{{0, 1}})
 	reg, e := setup(t, "n", g0, Options{})
 
-	res, err := e.Apply("n", []Op{del(2, 3), del(3, 2)})
+	res, err := e.Apply(context.Background(), "n", []Op{del(2, 3), del(3, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestNoOpBatchKeepsVersion(t *testing.T) {
 		t.Fatalf("no-op batch bumped version to %d", info.Version)
 	}
 	// A batch with any real effect still bumps.
-	res, err = e.Apply("n", []Op{del(0, 1)})
+	res, err = e.Apply(context.Background(), "n", []Op{del(0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
